@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .models import (
-    base_apply, bind_params, filter_forward, filter_forward_np,
-    sample_filter_index,
+    base_apply, bind_params, filter_forward, filter_forward_np, route_rows,
+    routed_forward, sample_filter_index,
 )
 from .rng import rng_from
 from .tape import Tape, cross_entropy_rows, grad, sum_all
@@ -79,25 +79,20 @@ def _batchify(x, y=None):
     return xb, yb, single
 
 
-def _pipeline_loss_grad(model, filt, x, y):
-    """Per-sample CE and input gradient through (optional filter) + base."""
+def _pipeline_loss_grad(model, filt, x, y, bpda=False):
+    """Per-sample CE and input gradient through (optional filter) + base.
+
+    With bpda the filter runs forward tape-free and its backward is taken
+    as the identity.
+    """
+    if bpda and filt is not None:
+        x, filt = filter_forward_np(filt, x), None
     tape = Tape()
     xv = tape.leaf(x)
     z = filter_forward(filt, xv) if filt is not None else xv
     logits = base_apply(bind_params(tape, model.params), z)
     ce = cross_entropy_rows(logits, y)
     (g,) = grad(tape, sum_all(ce), [xv])
-    return ce.value.copy(), g.value
-
-
-def _bpda_loss_grad(model, filt, x, y):
-    """Forward through the filter, backward as if it were the identity."""
-    u = filter_forward_np(filt, x) if filt is not None else x
-    tape = Tape()
-    uv = tape.leaf(u)
-    logits = base_apply(bind_params(tape, model.params), uv)
-    ce = cross_entropy_rows(logits, y)
-    (g,) = grad(tape, sum_all(ce), [uv])
     return ce.value.copy(), g.value
 
 
@@ -119,31 +114,47 @@ def filter_oracle(bank, model, index):
     return GradientOracle(f"filter[{index}]", fn)
 
 
-def _eot_draw_indices(k, seed, sample_ids, step, j, crn, ncall):
-    tail = (step, j) if crn else (step, j, ncall)
-    return np.array([sample_filter_index(k, [seed, EOT_TAG, int(s), *tail])
-                     for s in sample_ids])
+def draw_counts(k, keys):
+    """[N, K] filter-draw counts: one sample_filter_index call per draw.
+
+    keys[r] lists the seeds of row r's draws; counts[r, i] is how many of
+    them picked filter i.
+    """
+    counts = np.zeros((len(keys), k), dtype=np.int64)
+    for r, row_keys in enumerate(keys):
+        for key in row_keys:
+            counts[r, sample_filter_index(k, key)] += 1
+    return counts
 
 
-def _grouped_grad(bank, model, x, y, idx, bpda):
-    loss = np.empty(x.shape[0])
-    g = np.empty_like(x)
-    for i in range(bank.k):
-        sel = idx == i
-        if not sel.any():
-            continue
-        f = bank.filters[i]
-        if bpda:
-            loss[sel], g[sel] = _bpda_loss_grad(model, f, x[sel], y[sel])
-        else:
-            loss[sel], g[sel] = _pipeline_loss_grad(model, f, x[sel], y[sel])
-    return loss, g
+def eot_draw_counts(k, eot_samples, seed, sample_ids, step, crn=True, ncall=0):
+    """EoT draw counts; draw j of a row is keyed (seed, sample id, step, j),
+    plus the oracle call number when crn is off."""
+    tail = () if crn else (ncall,)
+    return draw_counts(k, [[[seed, EOT_TAG, int(s), step, j, *tail]
+                            for j in range(eot_samples)] for s in sample_ids])
+
+
+def _eot_loss_grad(bank, model, x, y, counts, eot_samples, bpda):
+    """sum_i (c_i/M) (L_i, grad L_i) from [N, K] draw counts c: one taped
+    pass per drawn filter i, over the rows that drew it."""
+    loss = np.zeros(x.shape[0])
+    g = np.zeros_like(x)
+    for i, rows in route_rows(counts):
+        c = counts[rows, i]
+        loss_i, g_i = _pipeline_loss_grad(model, bank.filters[i], x[rows],
+                                          y[rows], bpda)
+        loss[rows] += c * loss_i
+        g[rows] += c.reshape(-1, *([1] * (x.ndim - 1))) * g_i
+    return loss / eot_samples, g / eot_samples
 
 
 def eot_gradient(bank, model, x, y, K_samples, crn=True, seed=0, step=0,
                  sample_ids=None, bpda=False):
     """Monte-Carlo mean of the defended input gradient over filter draws.
 
+    Computed by multiplicity: with c_i of the M draws landing on filter i,
+    the mean is sum_i (c_i/M) grad L_i, one taped pass per drawn filter.
     With crn the draws are a pure function of (seed, sample id, step, draw
     index), so repeated calls at the same point reuse the same filters.
     """
@@ -151,13 +162,9 @@ def eot_gradient(bank, model, x, y, K_samples, crn=True, seed=0, step=0,
         raise DomainError("need at least one EoT sample")
     xb, yb, single = _batchify(x, y)
     ids = np.arange(xb.shape[0]) if sample_ids is None else np.asarray(sample_ids)
-    acc = np.zeros_like(xb)
-    for j in range(K_samples):
-        idx = _eot_draw_indices(bank.k, seed, ids, step, j, crn, 0)
-        _, g = _grouped_grad(bank, model, xb, yb, idx, bpda)
-        acc += g
-    acc /= K_samples
-    return acc[0] if single else acc
+    counts = eot_draw_counts(bank.k, K_samples, seed, ids, step, crn)
+    _, g = _eot_loss_grad(bank, model, xb, yb, counts, K_samples, bpda)
+    return g[0] if single else g
 
 
 def bpda_gradient(bank, model, x, y, sampled_filter, surrogate="identity"):
@@ -166,23 +173,27 @@ def bpda_gradient(bank, model, x, y, sampled_filter, surrogate="identity"):
         raise DomainError("only the identity surrogate is supported")
     xb, yb, single = _batchify(x, y)
     filt = bank.filters[sampled_filter] if isinstance(sampled_filter, int) else sampled_filter
-    _, g = _bpda_loss_grad(model, filt, xb, yb)
+    _, g = _pipeline_loss_grad(model, filt, xb, yb, bpda=True)
     return g[0] if single else g
 
 
 def eot_oracle(bank, model, eot_samples, crn=True, seed=0, sample_ids=None,
                bpda=False):
-    """Adaptive threat model: EoT mixture gradient, optional BPDA backward."""
+    """Adaptive threat model: EoT mixture gradient, optional BPDA backward.
+
+    Loss and gradient are sum_i (c_i/M) (L_i, grad L_i) over the filters
+    the M draws landed on, one taped pass per drawn filter. With crn the draws
+    are those of eot_gradient and eot_loss_rows at the same (seed, sample
+    id, step); without crn they are also keyed by the oracle call number.
+    """
+    if eot_samples < 1:
+        raise DomainError("need at least one EoT sample")
+
     def fn(x, y, step, ncall):
         ids = np.arange(x.shape[0]) if sample_ids is None else sample_ids
-        acc = np.zeros_like(x)
-        loss_acc = np.zeros(x.shape[0])
-        for j in range(eot_samples):
-            idx = _eot_draw_indices(bank.k, seed, ids, step, j, crn, ncall)
-            loss, g = _grouped_grad(bank, model, x, y, idx, bpda)
-            acc += g
-            loss_acc += loss
-        return loss_acc / eot_samples, acc / eot_samples
+        counts = eot_draw_counts(bank.k, eot_samples, seed, ids, step, crn,
+                                 ncall)
+        return _eot_loss_grad(bank, model, x, y, counts, eot_samples, bpda)
     name = f"eot{eot_samples}" + ("+bpda" if bpda else "")
     return GradientOracle(name, fn)
 
@@ -346,13 +357,8 @@ def base_margin_score(model):
 def ensemble_margin_score(bank, model):
     """Stochastic defended margin: one filter draw per row per query."""
     def score(x, y, row_seeds):
-        idx = np.array([sample_filter_index(bank.k, s) for s in row_seeds])
-        out = np.empty((x.shape[0], model.k_classes))
-        for i in range(bank.k):
-            sel = idx == i
-            if sel.any():
-                out[sel] = model.forward_np(filter_forward_np(bank.filters[i], x[sel]))
-        return _margins(out, y)
+        counts = draw_counts(bank.k, [[s] for s in row_seeds])
+        return _margins(routed_forward(bank, model, x, counts), y)
     return score
 
 

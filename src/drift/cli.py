@@ -13,15 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec
-from .data import Split, generate_synthetic_dataset
-from .diagnostics import (
-    consensus, directional_mismatch, gradient_norm_stats, loss_landscape,
-    make_eot_ce_loss, probe_variance_study, transfer_matrix,
-)
+from .data import generate_synthetic_dataset
+from .diagnostics import loss_landscape, make_eot_ce_loss
 from .dtns import checkpoint_meta, load_checkpoint
 from .errors import DivergenceError, DomainError, NonFiniteLoss, StageError
 from .harness import (
-    attack_label, evaluate_robust_accuracy, load_config, run_experiment,
+    DIAGNOSTIC_FILES, attack_label, evaluate_robust_accuracy, load_config,
+    run_diagnostic, run_experiment,
 )
 
 _USER_ERRORS = (DomainError, StageError, DivergenceError, NonFiniteLoss,
@@ -39,12 +37,6 @@ def _load_for_eval(ckpt_path):
     _, eval_split = generate_synthetic_dataset(
         meta["classes"], meta["side"], meta["n_per_class"], meta["data_seed"])
     return bank, model, eval_split
-
-
-def _write_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-    print(f"wrote {path}")
 
 
 def cmd_train(args):
@@ -78,36 +70,22 @@ def cmd_attack(args):
 def cmd_diagnose(args):
     bank, model, eval_split = _load_for_eval(args.checkpoint)
     out_dir = Path(args.checkpoint).parent
-    what = args.what
-    if what == "consensus":
-        report = consensus(bank, model, eval_split, mode="exact")
-        report.save_json(out_dir / "consensus_exact.json")
-        print(f"mean off-diagonal consensus: {report.mean_off_diagonal():.6f}")
-        print(f"wrote {out_dir / 'consensus_exact.json'}")
-    elif what == "mismatch":
-        sub = Split(eval_split.x[:16], eval_split.y[:16], eval_split.ids[:16])
-        stats = directional_mismatch(bank, model, sub, eot_k=128)
-        stats.save_json(out_dir / "mismatch.json")
-        for eta, row in sorted(stats.per_eta.items()):
+    result = run_diagnostic(args.what, bank, model, eval_split, out_dir)
+    if args.what == "consensus":
+        print(f"mean off-diagonal consensus: {result.mean_off_diagonal():.6f}")
+    elif args.what == "mismatch":
+        for eta, row in sorted(result.per_eta.items()):
             print(f"eta={eta:g}: median mismatch {row['median']:.6f}")
-        print(f"wrote {out_dir / 'mismatch.json'}")
-    elif what == "transfer":
-        spec = AttackSpec(kind="pgd", norm="linf", epsilon=8 / 255, steps=10)
-        mat = transfer_matrix(bank, model, eval_split, spec)
-        np.savetxt(out_dir / "transfer.csv", mat, delimiter=",", fmt="%.6f")
-        off = mat[~np.eye(bank.k, dtype=bool)].mean()
-        diag = np.diag(mat).mean()
+    elif args.what == "transfer":
+        off = result[~np.eye(bank.k, dtype=bool)].mean()
+        diag = np.diag(result).mean()
         print(f"accuracy under transfer: diag {diag:.2f}%, off-diag {off:.2f}%")
-        print(f"wrote {out_dir / 'transfer.csv'}")
-    elif what == "probes":
-        rows = probe_variance_study(bank, eval_split.x[:4], trials=60)
-        _write_json(rows, out_dir / "probes.json")
-        for row in rows:
+    elif args.what == "probes":
+        for row in result:
             print(f"P={row['P']}: variance {row['variance']:.3e}")
     else:
-        stats = gradient_norm_stats(bank, model, eval_split, eot_k=32)
-        _write_json(stats, out_dir / "gradnorm.json")
-        print(f"median EoT gradient norm: {stats['median']:.6f}")
+        print(f"median EoT gradient norm: {result['median']:.6f}")
+    print(f"wrote {out_dir / DIAGNOSTIC_FILES[args.what]}")
     return 0
 
 

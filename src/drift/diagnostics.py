@@ -9,13 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import _eot_draw_indices, eot_gradient, filter_oracle, pgd
+from .attacks import eot_draw_counts, eot_gradient, filter_oracle, pgd
 from .data import Split
 from .errors import DomainError
 from .losses import (
     NORM_GUARD, cos_sq, draw_input_probes, draw_logit_probes, js_component,
 )
-from .models import base_apply, bind_params, filter_forward, filter_forward_np
+from .models import (
+    base_apply, bind_params, filter_forward, filter_forward_np, route_rows,
+)
 from .rng import rng_from
 from .tape import Tape, cross_entropy_rows, dot_rows, grad, sum_all
 
@@ -74,28 +76,20 @@ class ConsensusReport:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
 
 
-def _pipeline_grad_rows(bank, model, x, y):
-    """Per-sample loss gradients for every filter pipeline: [K, N, C, H, W]."""
+def _pipeline_grad_rows(bank, model, x, y, w=None):
+    """Per-sample input gradients for every filter pipeline, [K, N, C, H, W]:
+    of the loss, or given a logit probe w, of <logits, w>."""
     tape = Tape()
     xv = tape.leaf(x)
     mv = bind_params(tape, model.params)
     outs = []
     for f in bank.filters:
         logits = base_apply(mv, filter_forward(f, xv))
-        outs.append(sum_all(cross_entropy_rows(logits, y)))
-    return np.stack([grad(tape, s, [xv])[0].value for s in outs])
-
-
-def _probe_vjp_rows(bank, model, x, w):
-    """Per-sample d<logits, w>/dx for every filter pipeline."""
-    tape = Tape()
-    xv = tape.leaf(x)
-    mv = bind_params(tape, model.params)
-    wb = np.broadcast_to(w, (x.shape[0], w.shape[0]))
-    outs = []
-    for f in bank.filters:
-        logits = base_apply(mv, filter_forward(f, xv))
-        outs.append(sum_all(dot_rows(logits, tape.leaf(wb))))
+        if w is None:
+            outs.append(sum_all(cross_entropy_rows(logits, y)))
+        else:
+            wb = np.broadcast_to(w, (x.shape[0], w.shape[0]))
+            outs.append(sum_all(dot_rows(logits, tape.leaf(wb))))
     return np.stack([grad(tape, s, [xv])[0].value for s in outs])
 
 
@@ -129,27 +123,20 @@ def consensus(bank, model, dataset, mode="exact", probes=40, seed=0,
     gamma_sum = np.zeros((k, k))
     counts = np.zeros((k, k), dtype=np.int64)
     n_zero = 0
+    # exact mode is one pass with no probe
     probe_ws = draw_logit_probes(probes, model.k_classes, [seed]) \
-        if mode == "probed" else ()
+        if mode == "probed" else [None]
 
     for start in range(0, len(y_all), batch_size):
         xb = x_all[start:start + batch_size]
         yb = y_all[start:start + batch_size]
-        if mode == "exact":
-            grads = _pipeline_grad_rows(bank, model, xb, yb)
+        for w in probe_ws:
+            grads = _pipeline_grad_rows(bank, model, xb, yb, w)
             zero = np.zeros(len(yb), dtype=bool)
             for gi in grads:
                 zero |= _row_norms(gi) < NORM_GUARD
             n_zero += int(zero.sum())
             _accumulate_pairs(gamma_sum, counts, grads, zero)
-        else:
-            for w in probe_ws:
-                grads = _probe_vjp_rows(bank, model, xb, w)
-                zero = np.zeros(len(yb), dtype=bool)
-                for gi in grads:
-                    zero |= _row_norms(gi) < NORM_GUARD
-                n_zero += int(zero.sum())
-                _accumulate_pairs(gamma_sum, counts, grads, zero)
 
     gamma = np.eye(k)
     for i in range(k):
@@ -169,25 +156,18 @@ def eot_loss_rows(bank, model, x, y, eot_k, crn=True, seed=0, step=0,
                   sample_ids=None):
     """Per-row cross-entropy averaged over the EoT filter draws.
 
-    Draws are keyed exactly like the EoT gradient path, so with crn on the
-    value is the function whose gradient eot_gradient returns.
+    Computed by multiplicity: sum_i (c_i/M) L_i, one tape-free forward per
+    drawn filter. Draws are keyed exactly like the EoT gradient path, so
+    with crn on the value is the function whose gradient eot_gradient
+    returns.
     """
-    n = x.shape[0]
     if sample_ids is None:
-        sample_ids = np.arange(n)
-    losses = np.zeros(n)
-    counts = np.zeros((n, bank.k), dtype=np.int64)
-    for j in range(eot_k):
-        idx = _eot_draw_indices(bank.k, seed, sample_ids, step, j, crn, 0)
-        for r, i in enumerate(idx):
-            counts[r, i] += 1
-    for i in range(bank.k):
-        rows = np.nonzero(counts[:, i])[0]
-        if len(rows) == 0:
-            continue
+        sample_ids = np.arange(x.shape[0])
+    counts = eot_draw_counts(bank.k, eot_k, seed, sample_ids, step, crn)
+    losses = np.zeros(x.shape[0])
+    for i, rows in route_rows(counts):
         z = model.forward_np(filter_forward_np(bank.filters[i], x[rows]))
-        ce = _stable_ce_rows(z, y[rows])
-        losses[rows] += counts[rows, i] * ce
+        losses[rows] += counts[rows, i] * _stable_ce_rows(z, y[rows])
     return losses / eot_k
 
 

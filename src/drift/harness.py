@@ -9,15 +9,15 @@ given the resolved config, so rerunning is idempotent (timings aside).
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .attacks import (
-    AttackSpec, _margins, adaptive_attack, base_oracle, ensemble_margin_score,
-    mim, pgd, square_attack,
+    AttackSpec, _margins, adaptive_attack, base_oracle, draw_counts,
+    ensemble_margin_score, mim, pgd, square_attack,
 )
 from .data import Split, generate_synthetic_dataset
 from .diagnostics import (
@@ -26,10 +26,10 @@ from .diagnostics import (
 )
 from .dtns import save_checkpoint
 from .errors import DomainError, StageError
-from .losses import LossWeights, ProbeConfig
+from .losses import ProbeConfig
 from .models import (
     FilterArch, build_base_model, build_filter_bank, filter_forward_np,
-    filter_param_count, pretrain_and_freeze, sample_filter_index,
+    filter_param_count, pretrain_and_freeze, routed_forward,
 )
 from .training import TrainConfig, train_drift, write_training_log
 
@@ -62,12 +62,25 @@ class ModelSpec:
     pretrain_epochs: int = 30
     pretrain_lr: float = 1e-3
 
+    def __post_init__(self):
+        self.channels = tuple(self.channels)
+        if len(self.channels) != 2 or min(self.channels) < 1:
+            raise DomainError(f"channels must be two positive widths, "
+                              f"got {self.channels}")
+
 
 @dataclass
 class BankSpec:
     k: int = 4
     arch: str = "res_block"
     hidden: int = 16
+
+    def __post_init__(self):
+        # the arch name is checked where the bank is built, in the train stage
+        if self.k < 1:
+            raise DomainError(f"k must be at least 1, got {self.k}")
+        if self.hidden < 1:
+            raise DomainError(f"hidden must be at least 1, got {self.hidden}")
 
 
 @dataclass
@@ -118,41 +131,45 @@ def _train_to_dict(t):
     return asdict(t)
 
 
-def _train_from_dict(d, master_seed):
-    d = dict(d)
-    weights = LossWeights(**d.pop("weights", {}))
-    probes_d = d.pop("probes", {})
-    probes = ProbeConfig(**probes_d) if probes_d else ProbeConfig(seed=master_seed)
-    d.setdefault("seed", master_seed)
-    return TrainConfig(weights=weights, probes=probes, **d)
+def _section(cls, d, path, **defaults):
+    """cls built from the config object d found at key path `path`.
+
+    Keys missing from d take `defaults`, then the field defaults; nested
+    config objects are built the same way. Unknown keys and invalid values
+    raise DomainError naming their key path.
+    """
+    if not isinstance(d, dict):
+        raise DomainError(f"config {path} must be an object")
+    types = {f.name: f.type for f in fields(cls)}
+    d = dict(defaults, **d)
+    for key, value in d.items():
+        where = f"{path}.{key}" if path else key
+        if key not in types:
+            raise DomainError(f"unknown config key {where}")
+        if is_dataclass(types[key]) and isinstance(value, dict):
+            d[key] = _section(types[key], value, where)
+    try:
+        return cls(**d)
+    except (DomainError, TypeError) as exc:
+        raise DomainError(f"config {path}: {exc}") from exc
 
 
 def config_from_dict(d):
-    """Build a config from its JSON form; DRIFT_SEED overrides the seed."""
-    d = dict(d)
+    """Build a config from its JSON form; DRIFT_SEED overrides the seed.
+
+    The master seed is the default of every nested seed. Unknown keys and
+    invalid values, at any depth, raise DomainError naming their key path.
+    """
+    if not isinstance(d, dict):
+        raise DomainError("config must be a JSON object")
     seed = int(os.environ.get("DRIFT_SEED", d.get("seed", 0)))
-    dataset_d = dict(d.get("dataset", {}))
-    dataset_d.setdefault("seed", seed)
-    model_d = dict(d.get("model", {}))
-    if "channels" in model_d:
-        model_d["channels"] = tuple(model_d["channels"])
-    attacks = []
-    for a in d.get("attacks", []):
-        a = dict(a)
-        a.setdefault("seed", seed)
-        attacks.append(AttackSpec(**a))
-    return ExperimentConfig(
-        experiment_id=d.get("experiment_id", "desk-default"),
-        seed=seed,
-        dataset=DatasetSpec(**dataset_d),
-        model=ModelSpec(**model_d),
-        bank=BankSpec(**d.get("bank", {})),
-        train=_train_from_dict(d.get("train", {}), seed),
-        attacks=attacks,
-        diagnostics=DiagnosticsToggles(**d.get("diagnostics", {})),
-        inference_seed=int(d.get("inference_seed", seed)),
-        out_dir=d.get("out_dir", "runs/default"),
-    )
+    return _section(ExperimentConfig, dict(
+        d, seed=seed, inference_seed=int(d.get("inference_seed", seed)),
+        dataset=_section(DatasetSpec, d.get("dataset", {}), "dataset", seed=seed),
+        train=_section(TrainConfig, d.get("train", {}), "train", seed=seed,
+                       probes=ProbeConfig(seed=seed)),
+        attacks=[_section(AttackSpec, a, f"attacks[{j}]", seed=seed)
+                 for j, a in enumerate(d.get("attacks", []))]), "")
 
 
 def load_config(path):
@@ -242,17 +259,10 @@ def attack_label(spec):
 
 def stochastic_predict(bank, model, x, sample_ids, seed, step=0):
     """One fresh filter draw per sample; returns (predictions, margins)."""
-    n = x.shape[0]
-    idx = np.array([sample_filter_index(bank.k, [seed, INFERENCE_TAG, int(s), step])
-                    for s in sample_ids])
-    logits = np.empty((n, model.k_classes))
-    for i in range(bank.k):
-        sel = idx == i
-        if sel.any():
-            logits[sel] = model.forward_np(
-                filter_forward_np(bank.filters[i], x[sel]))
-    y_hat = logits.argmax(axis=1)
-    return y_hat, logits
+    counts = draw_counts(bank.k, [[[seed, INFERENCE_TAG, int(s), step]]
+                                  for s in sample_ids])
+    logits = routed_forward(bank, model, x, counts)
+    return logits.argmax(axis=1), logits
 
 
 def _craft(bank, model, x, y, spec, sample_ids):
@@ -380,46 +390,54 @@ def _write_json(obj, path):
         json.dump(obj, fh, sort_keys=True, indent=1)
 
 
-def _diagnostic_files(config, bank, model, eval_split, out):
-    """Runs the enabled diagnostics; returns (file map, consensus report)."""
-    d = config.diagnostics
-    files = {}
-    report = None
-    if d.consensus:
-        report = consensus(bank, model, eval_split, mode="exact")
-        report.save_json(out / "consensus_exact.json")
-        files["consensus"] = "consensus_exact.json"
-    if d.gradnorm:
-        stats = gradient_norm_stats(bank, model, eval_split, eot_k=32,
-                                    seed=config.seed)
-        _write_json(stats, out / "gradnorm.json")
-        files["gradnorm"] = "gradnorm.json"
-    if d.mismatch:
+# diagnostic -> the file it writes, in the order a run executes them
+DIAGNOSTIC_FILES = {"consensus": "consensus_exact.json", "gradnorm": "gradnorm.json",
+                    "mismatch": "mismatch.json", "transfer": "transfer.csv",
+                    "probes": "probes.json", "landscape": "landscape.csv"}
+
+
+def run_diagnostic(what, bank, model, eval_split, out, seed=0):
+    """One diagnostic at the parameters every run uses; writes its file
+    (DIAGNOSTIC_FILES) under the directory `out` and returns its result."""
+    path = out / DIAGNOSTIC_FILES[what]
+    if what == "consensus":
+        result = consensus(bank, model, eval_split, mode="exact")
+        result.save_json(path)
+    elif what == "gradnorm":
+        result = gradient_norm_stats(bank, model, eval_split, eot_k=32, seed=seed)
+        _write_json(result, path)
+    elif what == "mismatch":
         sub = Split(eval_split.x[:16], eval_split.y[:16], eval_split.ids[:16])
-        stats = directional_mismatch(bank, model, sub, eot_k=128,
-                                     seed=config.seed)
-        stats.save_json(out / "mismatch.json")
-        files["mismatch"] = "mismatch.json"
-    if d.transfer:
+        result = directional_mismatch(bank, model, sub, eot_k=128, seed=seed)
+        result.save_json(path)
+    elif what == "transfer":
         spec = AttackSpec(kind="pgd", norm="linf", epsilon=8 / 255, steps=10,
-                          seed=config.seed)
-        mat = transfer_matrix(bank, model, eval_split, spec)
-        np.savetxt(out / "transfer.csv", mat, delimiter=",", fmt="%.6f")
-        files["transfer"] = "transfer.csv"
-    if d.probes:
-        rows = probe_variance_study(bank, eval_split.x[:4], trials=60,
-                                    seed=config.seed)
-        _write_json(rows, out / "probes.json")
-        files["probes"] = "probes.json"
-    if d.landscape:
+                          seed=seed)
+        result = transfer_matrix(bank, model, eval_split, spec)
+        np.savetxt(path, result, delimiter=",", fmt="%.6f")
+    elif what == "probes":
+        result = probe_variance_study(bank, eval_split.x[:4], trials=60,
+                                      seed=seed)
+        _write_json(result, path)
+    else:
         fn = make_eot_ce_loss(bank, model, eval_split.y[0],
                               sample_id=int(eval_split.ids[0]),
-                              eot_k=128, seed=config.seed)
-        grid = loss_landscape(fn, eval_split.x[0], tau=3 / 255, grid_n=41,
-                              dir_seed=config.seed, eot_k=128)
-        grid.save_csv(out / "landscape.csv")
-        files["landscape"] = "landscape.csv"
-    return files, report
+                              eot_k=128, seed=seed)
+        result = loss_landscape(fn, eval_split.x[0], tau=3 / 255, grid_n=41,
+                                dir_seed=seed, eot_k=128)
+        result.save_csv(path)
+    return result
+
+
+def _diagnostic_files(config, bank, model, eval_split, out):
+    """Runs the enabled diagnostics; returns (file map, consensus report)."""
+    files, results = {}, {}
+    for what, name in DIAGNOSTIC_FILES.items():
+        if getattr(config.diagnostics, what):
+            files[what] = name
+            results[what] = run_diagnostic(what, bank, model, eval_split, out,
+                                           seed=config.seed)
+    return files, results.get("consensus")
 
 
 def run_experiment(config):

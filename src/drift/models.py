@@ -312,6 +312,26 @@ def sample_filter_index(k, seed):
     return int(rng_from(seed).integers(0, k))
 
 
+def route_rows(counts):
+    """Route rows by filter: (i, rows) for every filter i that some row drew.
+
+    counts is an [N, K] filter-draw count matrix; rows holds, in ascending
+    order, the rows whose count for filter i is above zero.
+    """
+    for i in range(counts.shape[1]):
+        rows = np.flatnonzero(counts[:, i])
+        if rows.size:
+            yield i, rows
+
+
+def routed_forward(bank, model, x, counts):
+    """Tape-free logits of each row through the one filter it drew, then M."""
+    out = np.empty((x.shape[0], model.k_classes))
+    for i, rows in route_rows(counts):
+        out[rows] = model.forward_np(filter_forward_np(bank.filters[i], x[rows]))
+    return out
+
+
 def ensemble_forward(bank, model, x, mode="identity"):
     """Forward through one selected path then M (tape-free).
 
@@ -327,16 +347,11 @@ def ensemble_forward(bank, model, x, mode="identity"):
         i = int(arg)
         if not 0 <= i < bank.k:
             raise DomainError(f"filter index {i} out of range for K={bank.k}")
-        return model.forward_np(filter_forward_np(bank.filters[i], x))
-    if kind == "sample":
-        if x.ndim == 3:
-            i = sample_filter_index(bank.k, arg)
-            return model.forward_np(filter_forward_np(bank.filters[i], x))
+    elif kind == "sample" and x.ndim == 3:
+        i = sample_filter_index(bank.k, arg)
+    elif kind == "sample":
         idx = rng_from(arg).integers(0, bank.k, size=x.shape[0])
-        out = np.empty((x.shape[0], model.k_classes))
-        for i in range(bank.k):
-            sel = idx == i
-            if sel.any():
-                out[sel] = model.forward_np(filter_forward_np(bank.filters[i], x[sel]))
-        return out
-    raise DomainError(f"unknown ensemble_forward mode {mode!r}")
+        return routed_forward(bank, model, x, np.eye(bank.k, dtype=np.int64)[idx])
+    else:
+        raise DomainError(f"unknown ensemble_forward mode {mode!r}")
+    return model.forward_np(filter_forward_np(bank.filters[i], x))

@@ -5,14 +5,16 @@ import pytest
 
 from conftest import micro_bank
 from drift import DomainError
+from drift import attacks as attacks_module
 from drift.attacks import (
-    AttackSpec, GradientOracle, adaptive_attack, base_margin_score,
+    EOT_TAG, AttackSpec, GradientOracle, adaptive_attack, base_margin_score,
     base_oracle, bpda_gradient, check_budget, ensemble_margin_score,
     eot_gradient, eot_oracle, filter_oracle, mim, pgd, square_attack,
 )
+from drift.diagnostics import eot_loss_rows
 from drift.models import (
-    Filter, FilterArch, FilterBank, base_apply, bind_params,
-    build_filter_bank, filter_forward, filter_forward_np,
+    Filter, FilterArch, FilterBank, base_apply, bind_params, build_base_model,
+    build_filter_bank, filter_forward, filter_forward_np, sample_filter_index,
 )
 from drift.tape import Tape, cross_entropy_rows, grad, sum_all, vjp
 
@@ -294,6 +296,98 @@ def test_eot_variance_shrinks_with_samples():
     v5 = np.var([first_coord(5, s) for s in range(150)])
     v20 = np.var([first_coord(20, s) for s in range(150)])
     assert v20 <= (0.25 * 1.3) * v5
+
+
+# -- eot by multiplicity ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def eot_setup():
+    model = build_base_model((3, 8, 8), 4, seed=4, channels=(4, 6)).freeze()
+    x = np.random.default_rng(12).uniform(0.0, 1.0, (6, 3, 8, 8))
+    y = np.array([0, 1, 2, 3, 1, 0])
+    ids = np.array([3, 17, 4, 9, 40, 11])
+    banks = {1: micro_bank(1, seed=70, hidden=4, jitter=0.3),
+             3: micro_bank(3, seed=71, hidden=4, jitter=0.3)}
+    return model, banks, x, y, ids
+
+
+def _one_pipeline(model, filt, x, y, bpda):
+    """Loss and input gradient of one row through one filter, written out."""
+    t = Tape()
+    if bpda:
+        xv = t.leaf(filter_forward_np(filt, x))
+        logits = base_apply(bind_params(t, model.params), xv)
+    else:
+        xv = t.leaf(x)
+        logits = base_apply(bind_params(t, model.params), filter_forward(filt, xv))
+    ce = cross_entropy_rows(logits, y)
+    (g,) = grad(t, sum_all(ce), [xv])
+    return ce.value[0], g.value[0]
+
+
+def _per_draw_mean(bank, model, x, y, ids, m, seed, step, tail, bpda):
+    """The EoT mean as defined: one filter draw at a time, then / M."""
+    loss = np.zeros(len(y))
+    g = np.zeros_like(x)
+    for r, s in enumerate(ids):
+        for j in range(m):
+            i = sample_filter_index(bank.k, [seed, EOT_TAG, int(s), step, j, *tail])
+            l_r, g_r = _one_pipeline(model, bank.filters[i], x[r:r + 1],
+                                     y[r:r + 1], bpda)
+            loss[r] += l_r
+            g[r] += g_r
+    return loss / m, g / m
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("crn", [True, False])
+@pytest.mark.parametrize("bpda", [False, True])
+def test_eot_by_multiplicity_equals_per_draw_mean(eot_setup, k, crn, bpda):
+    model, banks, x, y, ids = eot_setup
+    bank, m, seed, step = banks[k], 7, 6, 2
+    oracle = eot_oracle(bank, model, m, crn=crn, seed=seed, sample_ids=ids,
+                        bpda=bpda)
+    oracle(x, y, 0)  # the second call is ncall 2
+    loss, g = oracle(x, y, step)
+    tail = () if crn else (2,)
+    loss_ref, g_ref = _per_draw_mean(bank, model, x, y, ids, m, seed, step,
+                                     tail, bpda)
+    np.testing.assert_allclose(loss, loss_ref, rtol=1e-12)
+    np.testing.assert_allclose(g, g_ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(g_ref).max())
+
+    g_eot = eot_gradient(bank, model, x, y, m, crn=crn, seed=seed, step=step,
+                         sample_ids=ids, bpda=bpda)
+    tail = () if crn else (0,)  # eot_gradient keys its draws as call 0
+    _, g_ref = _per_draw_mean(bank, model, x, y, ids, m, seed, step, tail, bpda)
+    np.testing.assert_allclose(g_eot, g_ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(g_ref).max())
+
+
+@pytest.mark.parametrize("bpda", [False, True])
+def test_eot_oracle_makes_at_most_k_taped_passes(eot_setup, monkeypatch, bpda):
+    model, banks, x, y, ids = eot_setup
+    bank = banks[3]
+    calls = []
+
+    def counting_grad(*args, **kwargs):
+        calls.append(1)
+        return grad(*args, **kwargs)
+    monkeypatch.setattr(attacks_module, "grad", counting_grad)
+    for m in (1, 5, 40):
+        oracle = eot_oracle(bank, model, m, seed=1, sample_ids=ids, bpda=bpda)
+        calls.clear()
+        oracle(x, y, 0)
+        assert 1 <= len(calls) <= bank.k
+
+
+def test_eot_oracle_loss_equals_eot_loss_rows(eot_setup):
+    model, banks, x, y, ids = eot_setup
+    bank, m, seed, step = banks[3], 9, 8, 3
+    loss, _ = eot_oracle(bank, model, m, seed=seed, sample_ids=ids)(x, y, step)
+    rows = eot_loss_rows(bank, model, x, y, m, seed=seed, step=step,
+                         sample_ids=ids)
+    np.testing.assert_allclose(loss, rows, rtol=1e-12, atol=1e-12)
 
 
 # -- bpda ---------------------------------------------------------------------

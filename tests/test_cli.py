@@ -102,6 +102,20 @@ def test_errors_exit_nonzero(tmp_path, capsys):
                  str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"attack": []}, "attack"),
+    ({"bank": {"kk": 3}}, "bank.kk"),
+    ({"bank": {"k": 0}}, "config bank: k"),
+])
+def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, change, key):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(MICRO, **change)))
+    assert main(["train", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_checkpoint_without_dataset_meta_is_rejected(tmp_path, capsys):
     from drift.dtns import save_checkpoint
     from drift.models import build_base_model, build_filter_bank

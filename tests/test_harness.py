@@ -84,6 +84,31 @@ def test_dataset_spec_rejects_non_rgb():
         DatasetSpec(channels=1)
 
 
+def test_config_rejects_unknown_top_level_key():
+    # a misspelled "attacks" must not silently run with no attacks
+    with pytest.raises(DomainError, match="unknown config key attack$"):
+        config_from_dict({"attack": [{"kind": "pgd"}]})
+
+
+def test_config_rejects_unknown_nested_key():
+    with pytest.raises(DomainError, match="unknown config key bank.kk"):
+        config_from_dict({"bank": {"kk": 3}})
+    with pytest.raises(DomainError, match="train.probes.p_x"):
+        config_from_dict({"train": {"probes": {"p_x": 1}}})
+    with pytest.raises(DomainError, match=r"attacks\[1\].eps"):
+        config_from_dict({"attacks": [{"kind": "pgd"}, {"eps": 0.1}]})
+
+
+@pytest.mark.parametrize("section, body, key", [
+    ("bank", {"k": 0}, "k"),
+    ("bank", {"hidden": 0}, "hidden"),
+    ("model", {"channels": [0, 0]}, "channels"),
+])
+def test_config_rejects_degenerate_specs(section, body, key):
+    with pytest.raises(DomainError, match=f"config {section}: {key}"):
+        config_from_dict({section: body})
+
+
 def test_default_config_is_complete():
     config = default_config(out_dir="x", seed=3)
     assert config.seed == 3
