@@ -219,8 +219,9 @@ def _check_inputs(x):
         raise DomainError("attack inputs must lie in [0,1]")
 
 
-def pgd(oracle, x, y, spec, telemetry=None):
-    """Projected gradient ascent on the oracle's loss; returns (x_adv, delta)."""
+def _ascend(oracle, x, y, spec, telemetry, direction):
+    """Projected ascent from delta = 0, moving by direction(g) each step;
+    returns (x_adv, delta). Non-finite gradient entries are zeroed and counted."""
     xb, yb, single = _batchify(x, y)
     _check_inputs(xb)
     x0 = xb.copy()
@@ -232,43 +233,37 @@ def pgd(oracle, x, y, spec, telemetry=None):
         if bad.any():
             n_bad += int(bad.sum())
             g = np.where(bad, 0.0, g)
-        if spec.norm == "linf":
-            step = spec.step_size * np.sign(g)
-        else:
-            flat = g.reshape(g.shape[0], -1)
-            norms = np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
-            step = spec.step_size * g / norms.reshape(-1, *([1] * (g.ndim - 1)))
-        delta = _project(delta + step, x0, spec)
+        delta = _project(delta + direction(g), x0, spec)
     if telemetry is not None:
         telemetry["n_nonfinite"] = telemetry.get("n_nonfinite", 0) + n_bad
     x_adv = x0 + delta
     return (x_adv[0], delta[0]) if single else (x_adv, delta)
+
+
+def pgd(oracle, x, y, spec, telemetry=None):
+    """Projected gradient ascent on the oracle's loss; returns (x_adv, delta)."""
+    def direction(g):
+        if spec.norm == "linf":
+            return spec.step_size * np.sign(g)
+        flat = g.reshape(g.shape[0], -1)
+        norms = np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
+        return spec.step_size * g / norms.reshape(-1, *([1] * (g.ndim - 1)))
+    return _ascend(oracle, x, y, spec, telemetry, direction)
 
 
 def mim(oracle, x, y, spec, telemetry=None):
     """Momentum iterative method; l_inf stepping and projection only."""
     if spec.norm != "linf":
         raise DomainError("mim is defined for the linf norm")
-    xb, yb, single = _batchify(x, y)
-    _check_inputs(xb)
-    x0 = xb.copy()
-    delta = np.zeros_like(x0)
-    m = np.zeros_like(x0)
-    n_bad = 0
-    for t in range(spec.steps):
-        _, g = oracle(x0 + delta, yb, t)
-        bad = ~np.isfinite(g)
-        if bad.any():
-            n_bad += int(bad.sum())
-            g = np.where(bad, 0.0, g)
+    m = 0.0  # the momentum; a scalar zero broadcasts like zeros_like(x)
+
+    def direction(g):
+        nonlocal m
         flat = np.abs(g).reshape(g.shape[0], -1)
         l1 = np.maximum(flat.sum(axis=1), 1e-300)
         m = spec.momentum_decay * m + g / l1.reshape(-1, *([1] * (g.ndim - 1)))
-        delta = _project(delta + spec.step_size * np.sign(m), x0, spec)
-    if telemetry is not None:
-        telemetry["n_nonfinite"] = telemetry.get("n_nonfinite", 0) + n_bad
-    x_adv = x0 + delta
-    return (x_adv[0], delta[0]) if single else (x_adv, delta)
+        return spec.step_size * np.sign(m)
+    return _ascend(oracle, x, y, spec, telemetry, direction)
 
 
 # ---------------------------------------------------------------------------

@@ -55,15 +55,20 @@ def class_templates(classes, side, seed, channels=3):
     return templates
 
 
+def check_dataset_shape(classes, side):
+    """The generator's bounds on the class count and the image side."""
+    if classes < 2:
+        raise DomainError(f"classes must be at least 2, got {classes}")
+    if side < 8:
+        raise DomainError(f"side must be at least 8, got {side}")
+
+
 def generate_synthetic_dataset(classes, side, n_per_class, seed, channels=3):
     """(train, eval) splits; eval gets n_per_class//2 samples per class.
 
     Deterministic per seed; train and eval ids are disjoint by construction.
     """
-    if classes < 2:
-        raise DomainError("need at least 2 classes")
-    if side < 8:
-        raise DomainError("side must be at least 8")
+    check_dataset_shape(classes, side)
     templates = class_templates(classes, side, seed, channels)
     n_eval = max(n_per_class // 2, 1)
 

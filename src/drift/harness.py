@@ -19,7 +19,7 @@ from .attacks import (
     AttackSpec, _margins, adaptive_attack, base_oracle, draw_counts,
     ensemble_margin_score, mim, pgd, square_attack,
 )
-from .data import Split, generate_synthetic_dataset
+from .data import Split, check_dataset_shape, generate_synthetic_dataset
 from .diagnostics import (
     consensus, directional_mismatch, gradient_norm_stats, loss_landscape,
     make_eot_ce_loss, probe_variance_study, transfer_matrix,
@@ -54,6 +54,9 @@ class DatasetSpec:
     def __post_init__(self):
         if self.channels != 3:
             raise DomainError("synthetic datasets are three-channel")
+        check_dataset_shape(self.classes, self.side)
+        if self.n_per_class < 1:
+            raise DomainError(f"n_per_class must be at least 1, got {self.n_per_class}")
 
 
 @dataclass
@@ -76,7 +79,7 @@ class BankSpec:
     hidden: int = 16
 
     def __post_init__(self):
-        # the arch name is checked where the bank is built, in the train stage
+        FilterArch(self.arch)  # rejects an unknown arch name
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
         if self.hidden < 1:

@@ -6,20 +6,21 @@ is pinned). Filters are tiny shape-preserving nets placed in front of M; the
 res_block variant initializes to the exact identity so the ensemble starts
 at the base model's clean accuracy.
 
-Every forward exists in two forms: a taped one (records on a Tape, used
-wherever gradients are needed) and a tape-free numpy one for inference and
-attack inner loops. Both call the same forward kernels, so their outputs are
-bitwise identical.
+Each network is defined once (base_apply, filter_apply) and evaluated two
+ways by the input's type: a Var records on its Tape (wherever gradients are
+needed), an array runs tape-free (inference and attack inner loops). Both
+call the same forward kernels, so their outputs are bitwise identical.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError, ShapeError
 from .rng import rng_from
-from .tape import Tape, Var, add, conv2d, cross_entropy_rows, dense, grad
+from .tape import Tape, Var, conv2d, cross_entropy_rows, dense, grad
 from .tape import mean_all, relu, reshape
 from .tape import _FORWARD
 
@@ -42,6 +43,14 @@ def np_dense(x, w, b):
     xb = x[None] if single else x
     y = xb @ np.ascontiguousarray(w.T) + np.broadcast_to(b, (xb.shape[0], b.shape[0]))
     return y[0] if single else y
+
+
+def _layers(x):
+    """(conv, relu, reshape, dense) for x: taped ops on a Var, tape-free on an
+    array. Looked up per call, so a rebound np_conv2d or np_dense is used."""
+    if isinstance(x, Var):
+        return conv2d, relu, reshape, dense
+    return np_conv2d, lambda h: np.maximum(h, 0.0), np.ndarray.reshape, np_dense
 
 
 def param_checksum(params):
@@ -88,22 +97,17 @@ class BaseClassifier:
         return self
 
     def forward_np(self, x):
-        p = self.params
-        h = np.maximum(np_conv2d(x, p["conv1_w"], p["conv1_b"], 1), 0.0)
-        h = np.maximum(np_conv2d(h, p["conv2_w"], p["conv2_b"], 1), 0.0)
-        flat = h.reshape(-1) if x.ndim == 3 else h.reshape(h.shape[0], -1)
-        return np_dense(flat, p["fc_w"], p["fc_b"])
+        return base_apply(self.params, x)
 
 
-def base_apply(pvars, x):
-    """Taped base forward; x is a Var [C,H,W] or [N,C,H,W]."""
-    h = relu(conv2d(x, pvars["conv1_w"], pvars["conv1_b"], 1))
-    h = relu(conv2d(h, pvars["conv2_w"], pvars["conv2_b"], 1))
-    if h.value.ndim == 3:
-        flat = reshape(h, (h.value.size,))
-    else:
-        flat = reshape(h, (h.value.shape[0], int(np.prod(h.value.shape[1:]))))
-    return dense(flat, pvars["fc_w"], pvars["fc_b"])
+def base_apply(p, x):
+    """Base forward on x [C,H,W] or [N,C,H,W]: taped when x is a Var (p holds
+    bound Vars), tape-free when x is an array (p holds the arrays)."""
+    conv, act, flatten, fc = _layers(x)
+    h = act(conv(x, p["conv1_w"], p["conv1_b"], 1))
+    h = act(conv(h, p["conv2_w"], p["conv2_b"], 1))
+    flat = flatten(h, h.shape[:-3] + (math.prod(h.shape[-3:]),))
+    return fc(flat, p["fc_w"], p["fc_b"])
 
 
 def build_base_model(image_shape, K_classes, seed, channels=(16, 32)):
@@ -137,6 +141,8 @@ def pretrain_and_freeze(model, dataset, epochs, lr, batch_size=100):
     dataset is (X [N,C,H,W], y [N]). With epochs=0 the parameters are left
     untouched and the model is frozen as-is.
     """
+    from .training import OptimizerState, optimizer_step, sanitize_gradients
+
     x_all, y_all = dataset
     x_all = np.asarray(x_all, dtype=np.float64)
     y_all = np.asarray(y_all, dtype=np.int64)
@@ -145,12 +151,7 @@ def pretrain_and_freeze(model, dataset, epochs, lr, batch_size=100):
         raise DomainError("empty pretraining dataset")
 
     rng = rng_from(model.seed, 101)
-    names = sorted(model.params)
-    m_state = {k: np.zeros_like(model.params[k]) for k in names}
-    v_state = {k: np.zeros_like(model.params[k]) for k in names}
-    step = 0
-    b1, b2, eps = 0.9, 0.999, 1e-8
-
+    state = OptimizerState.for_params(model.params)
     for _ in range(int(epochs)):
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -161,15 +162,10 @@ def pretrain_and_freeze(model, dataset, epochs, lr, batch_size=100):
             loss = mean_all(cross_entropy_rows(logits, y_all[idx]))
             if not np.isfinite(loss.value):
                 raise DivergenceError("non-finite pretraining loss")
-            gs = grad(tape, loss, [pv[k] for k in names])
-            step += 1
-            for k, g in zip(names, gs):
-                gv = np.nan_to_num(g.value, nan=0.0, posinf=0.0, neginf=0.0)
-                m_state[k] = b1 * m_state[k] + (1 - b1) * gv
-                v_state[k] = b2 * v_state[k] + (1 - b2) * gv * gv
-                mhat = m_state[k] / (1 - b1 ** step)
-                vhat = v_state[k] / (1 - b2 ** step)
-                model.params[k] = model.params[k] - lr * mhat / (np.sqrt(vhat) + eps)
+            gs = grad(tape, loss, list(pv.values()))
+            # non-finite gradient entries are zeroed, not raised on
+            grads, _ = sanitize_gradients({k: g.value for k, g in zip(pv, gs)})
+            optimizer_step(model.params, grads, state, lr, weight_decay=0.0)
     return model.freeze()
 
 
@@ -185,7 +181,7 @@ class FilterArch:
 
     def __post_init__(self):
         if self.name not in FILTER_ARCHS:
-            raise DomainError(f"unknown filter arch {self.name!r}")
+            raise DomainError(f"arch must be one of {FILTER_ARCHS}, got {self.name!r}")
 
 
 @dataclass
@@ -242,16 +238,17 @@ def init_filter_identity(arch, seed, channels=3):
     return Filter(arch, params)
 
 
-def filter_apply(arch, pvars, x):
-    """Taped filter forward on Var x."""
+def filter_apply(arch, p, x):
+    """Filter forward, taped on a Var x or tape-free on an array (as base_apply)."""
+    conv, act, _, _ = _layers(x)
     if arch.name == "res_block":
-        h = relu(conv2d(x, pvars["w1"], pvars["b1"], 1))
-        return add(x, conv2d(h, pvars["w2"], pvars["b2"], 1))
+        h = act(conv(x, p["w1"], p["b1"], 1))
+        return x + conv(h, p["w2"], p["b2"], 1)
     if arch.name == "single_conv":
-        return relu(conv2d(x, pvars["w1"], pvars["b1"], 1))
+        return act(conv(x, p["w1"], p["b1"], 1))
     h = x
     for i in range(1, 5):
-        h = relu(conv2d(h, pvars[f"w{i}"], pvars[f"b{i}"], 1))
+        h = act(conv(h, p[f"w{i}"], p[f"b{i}"], 1))
     return h
 
 
@@ -265,16 +262,7 @@ def filter_forward(filt, x, pvars=None):
 
 
 def filter_forward_np(filt, x):
-    p = filt.params
-    if filt.arch.name == "res_block":
-        h = np.maximum(np_conv2d(x, p["w1"], p["b1"], 1), 0.0)
-        return x + np_conv2d(h, p["w2"], p["b2"], 1)
-    if filt.arch.name == "single_conv":
-        return np.maximum(np_conv2d(x, p["w1"], p["b1"], 1), 0.0)
-    h = x
-    for i in range(1, 5):
-        h = np.maximum(np_conv2d(h, p[f"w{i}"], p[f"b{i}"], 1), 0.0)
-    return h
+    return filter_apply(filt.arch, filt.params, x)
 
 
 def filter_param_count(filt):

@@ -49,6 +49,8 @@ class TrainConfig:
         for w in (self.w_js, self.w_lvjp, self.w_adv):
             if self.epochs and w > self.epochs:
                 raise DomainError("warmups must not exceed epochs")
+        if self.pgd_steps < 1:
+            raise DomainError(f"pgd_steps must be at least 1, got {self.pgd_steps}")
         if self.pgd_step_size is None:
             self.pgd_step_size = self.pgd_epsilon / self.pgd_steps
         if self.clip_norm <= 0:

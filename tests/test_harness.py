@@ -103,6 +103,12 @@ def test_config_rejects_unknown_nested_key():
     ("bank", {"k": 0}, "k"),
     ("bank", {"hidden": 0}, "hidden"),
     ("model", {"channels": [0, 0]}, "channels"),
+    ("bank", {"arch": "no_such_arch"}, "arch"),
+    ("train", {"pgd_steps": 0}, "pgd_steps"),
+    ("train", {"pgd_steps": -2}, "pgd_steps"),
+    ("dataset", {"side": 0}, "side"),
+    ("dataset", {"classes": 1}, "classes"),
+    ("dataset", {"n_per_class": 0}, "n_per_class"),
 ])
 def test_config_rejects_degenerate_specs(section, body, key):
     with pytest.raises(DomainError, match=f"config {section}: {key}"):
@@ -257,9 +263,11 @@ def test_disabled_diagnostics_emit_nothing(tmp_path):
     assert metrics.consensus_mean_offdiag is None
 
 
-def test_failed_stage_is_tagged_and_leaves_partial_manifest(tmp_path):
+def test_failed_stage_is_tagged_and_leaves_partial_manifest(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("training failed")
+    monkeypatch.setattr("drift.harness.train_drift", boom)
     cfg = dict(MICRO, out_dir=str(tmp_path / "boom"))
-    cfg["bank"] = {"k": 2, "arch": "no_such_arch"}
     with pytest.raises(StageError) as err:
         run_experiment(config_from_dict(cfg))
     assert err.value.stage == "train"

@@ -11,7 +11,8 @@ from drift.models import (
     filter_param_count, init_filter_identity, param_checksum,
     pretrain_and_freeze, sample_filter_index,
 )
-from drift.tape import Tape, vjp
+from drift.rng import rng_from
+from drift.tape import Tape, cross_entropy_rows, grad, mean_all, vjp
 
 RNG = np.random.default_rng(42)
 
@@ -42,9 +43,10 @@ def test_base_model_degenerate_args():
 def test_taped_and_numpy_base_forward_match():
     m = build_base_model((3, 8, 8), 5, seed=3)
     x = RNG.uniform(0, 1, (4, 3, 8, 8))
-    t = Tape()
-    logits = base_apply(bind_params(t, m.params), t.leaf(x))
-    np.testing.assert_array_equal(logits.value, m.forward_np(x))
+    for xin in (x, x[0]):  # a batch and a single [C,H,W] image
+        t = Tape()
+        logits = base_apply(bind_params(t, m.params), t.leaf(xin))
+        np.testing.assert_array_equal(logits.value, m.forward_np(xin))
 
 
 # -- filters ------------------------------------------------------------------
@@ -110,9 +112,29 @@ def test_taped_and_numpy_filter_match():
     for arch in ("single_conv", "res_block", "deep_conv"):
         f = init_filter_identity(arch, seed=5)
         x = RNG.uniform(0, 1, (2, 3, 8, 8))
-        t = Tape()
-        y = filter_forward(f, t.leaf(x))
-        np.testing.assert_array_equal(y.value, filter_forward_np(f, x))
+        for xin in (x, x[0]):  # a batch and a single [C,H,W] image
+            t = Tape()
+            y = filter_forward(f, t.leaf(xin))
+            np.testing.assert_array_equal(y.value, filter_forward_np(f, xin))
+
+
+def test_tape_free_forwards_call_the_module_layer_functions(monkeypatch):
+    # per-layer profiling rebinds drift.models.np_conv2d / np_dense; the
+    # tape-free forwards must look them up at call time
+    import drift.models as models
+    calls = {"np_conv2d": 0, "np_dense": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(models, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(models, name, counted)
+    x = np.random.default_rng(0).uniform(0, 1, (2, 3, 8, 8))
+    build_base_model((3, 8, 8), 5, seed=3).forward_np(x)
+    assert calls == {"np_conv2d": 2, "np_dense": 1}
+    for arch, n_conv in (("single_conv", 1), ("res_block", 2), ("deep_conv", 4)):
+        calls["np_conv2d"] = 0
+        filter_forward_np(init_filter_identity(arch, seed=5), x)
+        assert calls == {"np_conv2d": n_conv, "np_dense": 1}
 
 
 # -- pretraining and freeze ---------------------------------------------------
@@ -147,6 +169,50 @@ def test_zero_epochs_freezes_without_update():
     before = m.checksum()
     m = pretrain_and_freeze(m, (tr.x, tr.y), epochs=0, lr=1e-3)
     assert m.frozen and m.checksum() == before
+
+
+def _adam_pretrain_reference(model, dataset, epochs, lr, batch_size=100):
+    """Pretraining with a hand-written Adam loop: the reference that
+    optimizer_step at weight decay 0 must reproduce bitwise."""
+    x_all, y_all = dataset
+    n = x_all.shape[0]
+    rng = rng_from(model.seed, 101)
+    names = sorted(model.params)
+    m_state = {k: np.zeros_like(model.params[k]) for k in names}
+    v_state = {k: np.zeros_like(model.params[k]) for k in names}
+    step = 0
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for _ in range(int(epochs)):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            tape = Tape()
+            pv = bind_params(tape, model.params)
+            logits = base_apply(pv, tape.leaf(x_all[idx]))
+            loss = mean_all(cross_entropy_rows(logits, y_all[idx]))
+            gs = grad(tape, loss, [pv[k] for k in names])
+            step += 1
+            for k, g in zip(names, gs):
+                gv = np.nan_to_num(g.value, nan=0.0, posinf=0.0, neginf=0.0)
+                m_state[k] = b1 * m_state[k] + (1 - b1) * gv
+                v_state[k] = b2 * v_state[k] + (1 - b2) * gv * gv
+                mhat = m_state[k] / (1 - b1 ** step)
+                vhat = v_state[k] / (1 - b2 ** step)
+                model.params[k] = model.params[k] - lr * mhat / (np.sqrt(vhat) + eps)
+    return model
+
+
+def test_pretrain_matches_reference_adam_bitwise():
+    tr, _ = generate_synthetic_dataset(4, 8, 30, seed=1)
+    got = pretrain_and_freeze(build_base_model((3, 8, 8), 4, seed=2, channels=(4, 8)),
+                              (tr.x, tr.y), epochs=3, lr=1e-2, batch_size=32)
+    ref = _adam_pretrain_reference(
+        build_base_model((3, 8, 8), 4, seed=2, channels=(4, 8)),
+        (tr.x, tr.y), epochs=3, lr=1e-2, batch_size=32)
+    assert sorted(got.params) == sorted(ref.params)
+    assert got.checksum() != build_base_model((3, 8, 8), 4, seed=2, channels=(4, 8)).checksum()
+    for k in ref.params:
+        assert got.params[k].tobytes() == ref.params[k].tobytes(), k
 
 
 def test_separable_blobs_perfect_accuracy():
