@@ -22,7 +22,7 @@ from .models import (
     routed_forward, sample_filter_index,
 )
 from .rng import rng_from
-from .tape import Tape, cross_entropy_rows, grad, sum_all
+from .tape import Tape, cross_entropy_rows, dot_rows, grad, sum_all
 
 EOT_TAG = 53
 SQUARE_TAG = 61
@@ -79,11 +79,12 @@ def _batchify(x, y=None):
     return xb, yb, single
 
 
-def _pipeline_loss_grad(model, filt, x, y, bpda=False):
-    """Per-sample CE and input gradient through (optional filter) + base.
+def _pipeline_loss_grad(model, filt, x, y, bpda=False, w=None):
+    """Per-sample loss and input gradient through (optional filter) + base.
 
-    With bpda the filter runs forward tape-free and its backward is taken
-    as the identity.
+    The loss is CE, or given a logit probe w [classes], <logits, w>. With
+    bpda the filter runs forward tape-free and its backward is taken as the
+    identity.
     """
     if bpda and filt is not None:
         x, filt = filter_forward_np(filt, x), None
@@ -91,9 +92,12 @@ def _pipeline_loss_grad(model, filt, x, y, bpda=False):
     xv = tape.leaf(x)
     z = filter_forward(filt, xv) if filt is not None else xv
     logits = base_apply(bind_params(tape, model.params), z)
-    ce = cross_entropy_rows(logits, y)
-    (g,) = grad(tape, sum_all(ce), [xv])
-    return ce.value.copy(), g.value
+    if w is None:
+        loss = cross_entropy_rows(logits, y)
+    else:
+        loss = dot_rows(logits, tape.leaf(np.broadcast_to(w, logits.value.shape)))
+    (g,) = grad(tape, sum_all(loss), [xv])
+    return loss.value.copy(), g.value
 
 
 def base_oracle(model):
@@ -167,10 +171,8 @@ def eot_gradient(bank, model, x, y, K_samples, crn=True, seed=0, step=0,
     return g[0] if single else g
 
 
-def bpda_gradient(bank, model, x, y, sampled_filter, surrogate="identity"):
+def bpda_gradient(bank, model, x, y, sampled_filter):
     """Defended gradient with the filter's backward replaced by identity."""
-    if surrogate != "identity":
-        raise DomainError("only the identity surrogate is supported")
     xb, yb, single = _batchify(x, y)
     filt = bank.filters[sampled_filter] if isinstance(sampled_filter, int) else sampled_filter
     _, g = _pipeline_loss_grad(model, filt, xb, yb, bpda=True)

@@ -55,12 +55,14 @@ def class_templates(classes, side, seed, channels=3):
     return templates
 
 
-def check_dataset_shape(classes, side):
-    """The generator's bounds on the class count and the image side."""
+def check_dataset_shape(classes, side, n_per_class):
+    """The generator's bounds on the class count, image side and split size."""
     if classes < 2:
         raise DomainError(f"classes must be at least 2, got {classes}")
     if side < 8:
         raise DomainError(f"side must be at least 8, got {side}")
+    if n_per_class < 1:
+        raise DomainError(f"n_per_class must be at least 1, got {n_per_class}")
 
 
 def generate_synthetic_dataset(classes, side, n_per_class, seed, channels=3):
@@ -68,7 +70,7 @@ def generate_synthetic_dataset(classes, side, n_per_class, seed, channels=3):
 
     Deterministic per seed; train and eval ids are disjoint by construction.
     """
-    check_dataset_shape(classes, side)
+    check_dataset_shape(classes, side, n_per_class)
     templates = class_templates(classes, side, seed, channels)
     n_eval = max(n_per_class // 2, 1)
 

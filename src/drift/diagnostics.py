@@ -9,19 +9,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import eot_draw_counts, eot_gradient, filter_oracle, pgd
+from .attacks import (
+    _pipeline_loss_grad, eot_draw_counts, eot_gradient, filter_oracle, pgd,
+)
 from .data import Split
 from .errors import DomainError
 from .losses import (
-    NORM_GUARD, cos_sq, draw_input_probes, draw_logit_probes, js_component,
+    DENOM_EPS, NORM_GUARD, draw_input_probes, draw_logit_probes, js_component,
 )
-from .models import (
-    base_apply, bind_params, filter_forward, filter_forward_np, route_rows,
-)
+from .models import filter_forward_np, route_rows
 from .rng import rng_from
-from .tape import Tape, cross_entropy_rows, dot_rows, grad, sum_all
+from .tape import Tape
 
 DIRECTION_TAG = 47
+CONSENSUS_BATCH = 100   # rows per taped pass; bounds tape memory
 
 
 def _as_xy(dataset):
@@ -76,42 +77,12 @@ class ConsensusReport:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
 
 
-def _pipeline_grad_rows(bank, model, x, y, w=None):
-    """Per-sample input gradients for every filter pipeline, [K, N, C, H, W]:
-    of the loss, or given a logit probe w, of <logits, w>."""
-    tape = Tape()
-    xv = tape.leaf(x)
-    mv = bind_params(tape, model.params)
-    outs = []
-    for f in bank.filters:
-        logits = base_apply(mv, filter_forward(f, xv))
-        if w is None:
-            outs.append(sum_all(cross_entropy_rows(logits, y)))
-        else:
-            wb = np.broadcast_to(w, (x.shape[0], w.shape[0]))
-            outs.append(sum_all(dot_rows(logits, tape.leaf(wb))))
-    return np.stack([grad(tape, s, [xv])[0].value for s in outs])
-
-
-def _accumulate_pairs(gamma_sum, counts, grads_k, zero_rows):
-    k, n = grads_k.shape[0], grads_k.shape[1]
-    flat = grads_k.reshape(k, n, -1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for r in range(n):
-                if zero_rows[r]:
-                    counts[i, j] += 1          # contributes 0 by convention
-                    continue
-                gamma_sum[i, j] += cos_sq(flat[i, r], flat[j, r])
-                counts[i, j] += 1
-
-
-def consensus(bank, model, dataset, mode="exact", probes=40, seed=0,
-              batch_size=100):
+def consensus(bank, model, dataset, mode="exact", probes=40, seed=0):
     """Mean pairwise squared-cosine alignment across filter pipelines.
 
     exact mode aligns full per-sample loss gradients; probed mode averages
-    the logit-probe estimator over `probes` seeded probe directions.
+    the logit-probe estimator over `probes` seeded probe directions. Each
+    pipeline's gradients come from one taped pass per CONSENSUS_BATCH rows.
     Zero-gradient samples contribute 0 to their pairs and are counted.
     """
     x_all, y_all, _ = _as_xy(dataset)
@@ -120,30 +91,28 @@ def consensus(bank, model, dataset, mode="exact", probes=40, seed=0,
     if mode not in ("exact", "probed"):
         raise DomainError(f"unknown consensus mode {mode!r}")
     k = bank.k
-    gamma_sum = np.zeros((k, k))
-    counts = np.zeros((k, k), dtype=np.int64)
+    pair_sum = np.zeros((k, k))
     n_zero = 0
     # exact mode is one pass with no probe
     probe_ws = draw_logit_probes(probes, model.k_classes, [seed]) \
         if mode == "probed" else [None]
 
-    for start in range(0, len(y_all), batch_size):
-        xb = x_all[start:start + batch_size]
-        yb = y_all[start:start + batch_size]
+    for start in range(0, len(y_all), CONSENSUS_BATCH):
+        xb = x_all[start:start + CONSENSUS_BATCH]
+        yb = y_all[start:start + CONSENSUS_BATCH]
         for w in probe_ws:
-            grads = _pipeline_grad_rows(bank, model, xb, yb, w)
-            zero = np.zeros(len(yb), dtype=bool)
-            for gi in grads:
-                zero |= _row_norms(gi) < NORM_GUARD
+            g = np.stack([_pipeline_loss_grad(model, f, xb, yb, w=w)[1]
+                          for f in bank.filters]).reshape(k, len(yb), -1)
+            norms = np.sqrt(np.sum(g ** 2, axis=2))             # [K, N]
+            zero = (norms < NORM_GUARD).any(axis=0)
             n_zero += int(zero.sum())
-            _accumulate_pairs(gamma_sum, counts, grads, zero)
+            cos = np.einsum("ind,jnd->ijn", g, g) / (
+                norms[:, None] * norms[None] + DENOM_EPS)
+            pair_sum += (cos[:, :, ~zero] ** 2).sum(axis=2)
 
-    gamma = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = gamma_sum[i, j] / max(counts[i, j], 1)
-            gamma[i, j] = gamma[j, i] = v
-    return ConsensusReport(gamma=gamma, n_samples=len(y_all), mode=mode,
+    upper = np.triu(pair_sum, 1) / (len(y_all) * len(probe_ws))
+    return ConsensusReport(gamma=upper + upper.T + np.eye(k),
+                           n_samples=len(y_all), mode=mode,
                            probes=probes if mode == "probed" else 0,
                            probe_seed=seed, n_zero_grad=n_zero)
 
@@ -239,7 +208,7 @@ def directional_mismatch(bank, model, dataset, etas=(1e-2, 1e-3, 1e-4),
                          step=0, sample_ids=sid)[0]
         norms.append(float(np.linalg.norm(g)))
         # one batched loss evaluation for all (direction, eta, sign) points
-        pts = [x[0]]
+        pts = []
         for v in dirs:
             for e in etas:
                 pts.append(x[0] + e * v)
@@ -249,7 +218,7 @@ def directional_mismatch(bank, model, dataset, etas=(1e-2, 1e-3, 1e-4),
         ys = np.full(len(pts), y[0])
         losses = eot_loss_rows(bank, model, pts, ys, eot_k, crn=True,
                                seed=seed, step=0, sample_ids=same_id)
-        p = 1
+        p = 0
         for v in dirs:
             slope_true = float(np.vdot(v, g))
             for e in etas:

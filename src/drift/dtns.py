@@ -2,9 +2,11 @@
 
 Layout: magic b"DTNS", format version (u16), record count (u32), then per
 record {name length u16, name bytes (utf-8), rank u8, one u32 extent per
-axis, precision u8 (4 = single, 8 = double), payload as little-endian
-scalars in C order}. All integers little-endian. Round-trips are bitwise
-lossless for float32/float64 tensors of any rank the header can express.
+axis, precision u8 (4 = single, 8 = double, 0x88 = signed 64-bit integer),
+payload as little-endian scalars in C order}. All integers little-endian.
+Round-trips are bitwise lossless for float32/float64/int64 tensors of any
+rank the header can express. Version 2 added the int64 code; version 1
+files (float codes only) still read.
 """
 
 import struct
@@ -15,20 +17,21 @@ from .errors import DomainError
 from .models import BaseClassifier, Filter, FilterArch, FilterBank
 
 MAGIC = b"DTNS"
-VERSION = 1
+VERSION = 2
 
-_DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+_DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8"), 0x88: np.dtype("<i8")}
+_CODES_BY_VERSION = {1: (4, 8), 2: (4, 8, 0x88)}
 _ARCH_CODES = {"single_conv": 0, "res_block": 1, "deep_conv": 2}
 _ARCH_NAMES = {v: k for k, v in _ARCH_CODES.items()}
 _CKPT_VERSION = 1
 
 
 def _precision_of(arr):
-    if arr.dtype == np.float32:
-        return 4
-    if arr.dtype == np.float64:
-        return 8
-    raise DomainError(f"container stores float32/float64 only, got {arr.dtype}")
+    for code, dtype in _DTYPES.items():
+        if arr.dtype == dtype:
+            return code
+    raise DomainError(
+        f"container stores float32/float64/int64 only, got {arr.dtype}")
 
 
 def write_tensors(path, tensors):
@@ -78,7 +81,7 @@ def read_tensors(path):
     if cur.take(4) != MAGIC:
         raise DomainError("bad magic; not a DTNS container")
     (version,) = cur.unpack("<H")
-    if version != VERSION:
+    if version not in _CODES_BY_VERSION:
         raise DomainError(f"unsupported container version {version}")
     (count,) = cur.unpack("<I")
     out = {}
@@ -88,12 +91,12 @@ def read_tensors(path):
         (rank,) = cur.unpack("<B")
         extents = cur.unpack(f"<{rank}I")
         (prec,) = cur.unpack("<B")
-        if prec not in _DTYPES:
+        if prec not in _CODES_BY_VERSION[version]:
             raise DomainError(f"unknown precision code {prec}")
         n_items = 1
         for e in extents:
             n_items *= e
-        raw = cur.take(n_items * prec)
+        raw = cur.take(n_items * _DTYPES[prec].itemsize)
         arr = np.frombuffer(raw, dtype=_DTYPES[prec]).reshape(extents)
         out[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
     if cur.pos != len(cur.buf):
@@ -102,7 +105,7 @@ def read_tensors(path):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one tensor per parameter plus one metadata record
+# Checkpoints: one tensor per parameter plus one int64 metadata record
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, bank, model, data_seed=0, n_per_class=0):
@@ -117,10 +120,10 @@ def save_checkpoint(path, bank, model, data_seed=0, n_per_class=0):
         model.k_classes,
         model.channels[0], model.channels[1],
         model.seed,
-        1.0 if model.frozen else 0.0,
+        int(model.frozen),
         data_seed,
         n_per_class,
-    ], dtype=np.float64)
+    ], dtype=np.int64)
     tensors = {"__meta__": meta}
     for k in sorted(model.params):
         tensors[f"base.{k}"] = model.params[k]
@@ -180,7 +183,7 @@ def load_checkpoint(path):
     model = BaseClassifier(image_shape, int(meta[8]), base_params,
                            seed=int(meta[11]),
                            channels=(int(meta[9]), int(meta[10])))
-    if meta[12] == 1.0:
+    if meta[12] == 1:
         model.freeze()
     bank = FilterBank([Filter(arch, p) for p in filt_params],
                       seed=int(meta[4]))

@@ -54,9 +54,7 @@ class DatasetSpec:
     def __post_init__(self):
         if self.channels != 3:
             raise DomainError("synthetic datasets are three-channel")
-        check_dataset_shape(self.classes, self.side)
-        if self.n_per_class < 1:
-            raise DomainError(f"n_per_class must be at least 1, got {self.n_per_class}")
+        check_dataset_shape(self.classes, self.side, self.n_per_class)
 
 
 @dataclass
@@ -79,11 +77,9 @@ class BankSpec:
     hidden: int = 16
 
     def __post_init__(self):
-        FilterArch(self.arch)  # rejects an unknown arch name
+        FilterArch(self.arch, self.hidden)  # rejects a bad arch or hidden
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
-        if self.hidden < 1:
-            raise DomainError(f"hidden must be at least 1, got {self.hidden}")
 
 
 @dataclass

@@ -182,6 +182,8 @@ class FilterArch:
     def __post_init__(self):
         if self.name not in FILTER_ARCHS:
             raise DomainError(f"arch must be one of {FILTER_ARCHS}, got {self.name!r}")
+        if self.hidden < 1:
+            raise DomainError(f"hidden must be at least 1, got {self.hidden}")
 
 
 @dataclass

@@ -45,6 +45,12 @@ def test_nearest_template_oracle():
     assert nearest_template_accuracy(ev, templates) >= 0.90
 
 
+@pytest.mark.parametrize("n_per_class", [0, -1])
+def test_empty_split_rejected(n_per_class):
+    with pytest.raises(DomainError, match="n_per_class must be at least 1"):
+        generate_synthetic_dataset(2, 8, n_per_class, 0)
+
+
 def test_degenerate_args_raise():
     with pytest.raises(DomainError):
         generate_synthetic_dataset(1, 16, 10, seed=0)

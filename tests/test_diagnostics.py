@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from drift.attacks import AttackSpec
+import drift.diagnostics as diagnostics_module
+import drift.tape as tape_module
+from drift.attacks import AttackSpec, _pipeline_loss_grad
 from drift.diagnostics import (
     ConsensusReport, consensus, directional_mismatch, eot_loss_rows,
     gradient_norm_stats, load_landscape_csv, loss_landscape,
@@ -13,9 +15,16 @@ from drift.diagnostics import (
     transfer_matrix,
 )
 from drift.errors import DomainError
-from drift.models import FilterBank, build_base_model, build_filter_bank
+from drift.losses import NORM_GUARD, cos_sq, draw_logit_probes
+from drift.models import (
+    Filter, FilterArch, FilterBank, base_apply, bind_params,
+    build_base_model, build_filter_bank, filter_forward,
+)
+from drift.tape import Tape, cross_entropy_rows, dot_rows, grad, sum_all
 
-from conftest import linear_logit_model, micro_bank, projection_filter
+from conftest import (
+    delta_kernel, linear_logit_model, micro_bank, projection_filter,
+)
 
 RNG = np.random.default_rng(33)
 
@@ -105,6 +114,103 @@ def test_consensus_json_round_trip(tmp_path, small_base):
     assert loaded["mode"] == "probed" and loaded["probes"] == 2
 
 
+# The consensus implementation before it moved onto the attacks' gradient
+# pass: all K pipelines on one tape and a per-row loop over pairs, kept here
+# as the reference.
+
+def _reference_grad_rows(bank, model, x, y, w=None):
+    tape = Tape()
+    xv = tape.leaf(x)
+    mv = bind_params(tape, model.params)
+    outs = []
+    for f in bank.filters:
+        logits = base_apply(mv, filter_forward(f, xv))
+        if w is None:
+            outs.append(sum_all(cross_entropy_rows(logits, y)))
+        else:
+            wb = np.broadcast_to(w, (x.shape[0], w.shape[0]))
+            outs.append(sum_all(dot_rows(logits, tape.leaf(wb))))
+    return np.stack([grad(tape, s, [xv])[0].value for s in outs])
+
+
+def _reference_accumulate_pairs(gamma_sum, counts, grads_k, zero_rows):
+    k, n = grads_k.shape[0], grads_k.shape[1]
+    flat = grads_k.reshape(k, n, -1)
+    for i in range(k):
+        for j in range(i + 1, k):
+            for r in range(n):
+                if zero_rows[r]:
+                    counts[i, j] += 1
+                    continue
+                gamma_sum[i, j] += cos_sq(flat[i, r], flat[j, r])
+                counts[i, j] += 1
+
+
+def _reference_consensus(bank, model, x, y, probe_ws):
+    k = bank.k
+    gamma_sum = np.zeros((k, k))
+    counts = np.zeros((k, k), dtype=np.int64)
+    n_zero = 0
+    for w in probe_ws:
+        grads = _reference_grad_rows(bank, model, x, y, w)
+        zero = np.zeros(len(y), dtype=bool)
+        for gi in grads:
+            zero |= np.sqrt(np.sum(gi.reshape(len(y), -1) ** 2, axis=1)) < NORM_GUARD
+        n_zero += int(zero.sum())
+        _reference_accumulate_pairs(gamma_sum, counts, grads, zero)
+    gamma = np.eye(k)
+    for i in range(k):
+        for j in range(i + 1, k):
+            gamma[i, j] = gamma[j, i] = gamma_sum[i, j] / max(counts[i, j], 1)
+    return gamma, n_zero
+
+
+def _bank_with_a_dead_row():
+    """relu(x - 0.5) passes nothing (and no gradient) for a row below 0.5."""
+    dead = Filter(FilterArch("single_conv"),
+                  {"w1": delta_kernel(3, 3), "b1": np.full(3, -0.5)})
+    bank = FilterBank([dead] + micro_bank(2, seed=4, jitter=0.2).filters)
+    x, y = small_inputs(n=5)
+    x[0] = np.random.default_rng(2).uniform(0.05, 0.45, size=x[0].shape)
+    return bank, x, y
+
+
+@pytest.mark.parametrize("mode", ["exact", "probed"])
+def test_consensus_matches_reference_implementation(small_base, mode):
+    bank, x, y = _bank_with_a_dead_row()
+    rep = consensus(bank, small_base, (x, y), mode=mode, probes=3, seed=7)
+    probe_ws = draw_logit_probes(3, small_base.k_classes, [7]) \
+        if mode == "probed" else [None]
+    gamma, n_zero = _reference_consensus(bank, small_base, x, y, probe_ws)
+    assert n_zero == (1 if mode == "exact" else 3)
+    assert rep.n_zero_grad == n_zero
+    np.testing.assert_allclose(rep.gamma, gamma, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rep.gamma, rep.gamma.T)
+    np.testing.assert_array_equal(np.diag(rep.gamma), np.ones(3))
+    assert 0.0 < rep.gamma[1, 2] < 1.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "probed"])
+def test_consensus_tape_holds_one_pipeline(monkeypatch, small_base, mode):
+    bank = micro_bank(3, seed=4, jitter=0.2)
+    x, y = small_inputs()
+    largest = [0]
+    inner = tape_module.vjp
+
+    def counting_vjp(tape, output, cotangent, wrt):
+        out = inner(tape, output, cotangent, wrt)
+        largest[0] = max(largest[0], len(tape.nodes))
+        return out
+    monkeypatch.setattr(tape_module, "vjp", counting_vjp)
+
+    consensus(bank, small_base, (x, y), mode=mode, probes=2)
+    in_consensus, largest[0] = largest[0], 0
+    w = draw_logit_probes(1, small_base.k_classes, [0])[0] \
+        if mode == "probed" else None
+    _pipeline_loss_grad(small_base, bank.filters[0], x, y, w=w)
+    assert largest[0] > 0 and in_consensus == largest[0]
+
+
 # ---------------------------------------------------------------------------
 # eot loss surface
 # ---------------------------------------------------------------------------
@@ -164,6 +270,19 @@ def test_mismatch_deterministic(small_base):
     a = directional_mismatch(bank, small_base, (x, y), n_dirs=3, eot_k=4)
     b = directional_mismatch(bank, small_base, (x, y), n_dirs=3, eot_k=4)
     assert a.per_eta == b.per_eta and a.grad_norms == b.grad_norms
+
+
+def test_mismatch_evaluates_only_the_difference_points(monkeypatch, small_base):
+    rows = []
+    inner = diagnostics_module.eot_loss_rows
+
+    def counting(bank, model, x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return inner(bank, model, x, *args, **kwargs)
+    monkeypatch.setattr(diagnostics_module, "eot_loss_rows", counting)
+    directional_mismatch(micro_bank(2, seed=6), small_base, small_inputs(n=2),
+                         etas=(1e-2, 1e-3), n_dirs=3, eot_k=4)
+    assert rows == [3 * 2 * 2] * 2
 
 
 def test_mismatch_requires_crn(small_base):

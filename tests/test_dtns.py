@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from drift.dtns import (
-    MAGIC, VERSION, load_checkpoint, read_tensors, save_checkpoint,
-    write_tensors,
+    MAGIC, VERSION, checkpoint_meta, load_checkpoint, read_tensors,
+    save_checkpoint, write_tensors,
 )
 from drift.errors import DomainError
 from drift.models import build_base_model, build_filter_bank
@@ -85,7 +85,34 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_unknown_precision_rejected(tmp_path):
     path = tmp_path / "t.dtns"
     with pytest.raises(DomainError):
-        write_tensors(path, {"x": np.ones(2, dtype=np.int64)})
+        write_tensors(path, {"x": np.ones(2, dtype=np.int32)})
+
+
+def test_int64_round_trips_exactly(tmp_path):
+    arr = np.array([[2 ** 53 + 1, -(2 ** 62) - 3], [2 ** 63 - 1, 0]],
+                   dtype=np.int64)
+    path = tmp_path / "t.dtns"
+    write_tensors(path, {"i": arr})
+    raw = path.read_bytes()
+    assert raw[4:6] == struct.pack("<H", 2)
+    assert raw[22] == 0x88                                  # precision
+    back = read_tensors(path)["i"]
+    assert back.dtype == np.int64 and back.tobytes() == arr.tobytes()
+
+
+def _as_version_1(path):
+    """Rewrite a float-only container as the version-1 file it would have
+    been: the record layout is the same, only the version field differs."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+
+
+def test_version_1_rejects_the_int64_code(tmp_path):
+    path = tmp_path / "t.dtns"
+    write_tensors(path, {"i": np.ones(2, dtype=np.int64)})
+    _as_version_1(path)
+    with pytest.raises(DomainError, match="precision code"):
+        read_tensors(path)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -126,3 +153,33 @@ def test_checkpoint_missing_meta_rejected(tmp_path):
     write_tensors(path, {"base.fc_w": np.ones((2, 2))})
     with pytest.raises(DomainError):
         load_checkpoint(path)
+
+
+def _small_checkpoint(tmp_path, bank_seed, data_seed):
+    model = build_base_model((3, 8, 8), 4, seed=2, channels=(4, 8)).freeze()
+    bank = build_filter_bank("res_block", 2, seed=bank_seed)
+    path = tmp_path / "ckpt.dtns"
+    save_checkpoint(path, bank, model, data_seed=data_seed, n_per_class=7)
+    return path, bank, model
+
+
+def test_checkpoint_metadata_is_exact_above_2_53(tmp_path):
+    bank_seed, data_seed = 2 ** 53 + 1, 2 ** 55 + 7
+    path, bank, _ = _small_checkpoint(tmp_path, bank_seed, data_seed)
+    assert read_tensors(path)["__meta__"].dtype == np.int64
+    bank2, _ = load_checkpoint(path)
+    assert bank2.seed == bank_seed
+    meta = checkpoint_meta(path)
+    assert meta["data_seed"] == data_seed and meta["n_per_class"] == 7
+
+
+def test_version_1_checkpoint_still_loads(tmp_path):
+    path, bank, model = _small_checkpoint(tmp_path, 6, 11)
+    tensors = read_tensors(path)
+    tensors["__meta__"] = tensors["__meta__"].astype(np.float64)
+    write_tensors(path, tensors)
+    _as_version_1(path)
+    bank2, model2 = load_checkpoint(path)
+    assert bank2.seed == 6 and bank2.checksum() == bank.checksum()
+    assert model2.frozen and model2.frozen_checksum == model.frozen_checksum
+    assert checkpoint_meta(path)["data_seed"] == 11

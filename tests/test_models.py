@@ -272,6 +272,14 @@ def test_identity_init_ensemble_matches_base_accuracy(desk):
     assert np.array_equal(base_pred, ens)
 
 
+@pytest.mark.parametrize("hidden", [0, -3])
+def test_filter_arch_rejects_degenerate_hidden(hidden):
+    with pytest.raises(DomainError, match="hidden must be at least 1"):
+        FilterArch("res_block", hidden=hidden)
+    with pytest.raises(DomainError, match="hidden must be at least 1"):
+        build_filter_bank(FilterArch("single_conv", hidden=hidden), 1, seed=0)
+
+
 def test_filter_arch_validation():
     with pytest.raises(DomainError):
         FilterArch("resnet50")
