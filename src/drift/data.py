@@ -31,6 +31,14 @@ class Split:
         return self.x.shape[0]
 
 
+def as_xy(dataset):
+    """(x, y, ids) of a Split or of an (x, y) pair, whose ids are 0..N-1."""
+    if isinstance(dataset, Split):
+        return dataset.x, dataset.y, dataset.ids
+    x, y = dataset
+    return np.asarray(x), np.asarray(y), np.arange(len(y))
+
+
 def _smooth_field(rng, side, channels):
     """Random field box-smoothed to vary on the scale of side/4."""
     raw = rng.uniform(0.0, 1.0, size=(channels, side, side))

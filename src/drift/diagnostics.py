@@ -12,10 +12,11 @@ import numpy as np
 from .attacks import (
     _pipeline_loss_grad, eot_draw_counts, eot_gradient, filter_oracle, pgd,
 )
-from .data import Split
+from .data import as_xy
 from .errors import DomainError
 from .losses import (
-    DENOM_EPS, NORM_GUARD, draw_input_probes, draw_logit_probes, js_component,
+    DENOM_EPS, NORM_GUARD, bind_bank, draw_input_probes, draw_logit_probes,
+    js_component,
 )
 from .models import filter_forward_np, route_rows
 from .rng import rng_from
@@ -23,13 +24,6 @@ from .tape import Tape
 
 DIRECTION_TAG = 47
 CONSENSUS_BATCH = 100   # rows per taped pass; bounds tape memory
-
-
-def _as_xy(dataset):
-    if isinstance(dataset, Split):
-        return dataset.x, dataset.y, dataset.ids
-    x, y = dataset
-    return np.asarray(x), np.asarray(y), np.arange(len(y))
 
 
 def _row_norms(g):
@@ -85,7 +79,7 @@ def consensus(bank, model, dataset, mode="exact", probes=40, seed=0):
     pipeline's gradients come from one taped pass per CONSENSUS_BATCH rows.
     Zero-gradient samples contribute 0 to their pairs and are counted.
     """
-    x_all, y_all, _ = _as_xy(dataset)
+    x_all, y_all, _ = as_xy(dataset)
     if len(y_all) == 0:
         raise DomainError("consensus needs a nonempty dataset")
     if mode not in ("exact", "probed"):
@@ -195,7 +189,7 @@ def directional_mismatch(bank, model, dataset, etas=(1e-2, 1e-3, 1e-4),
     """
     if not crn:
         raise DomainError("mismatch requires common random numbers")
-    x_all, y_all, ids = _as_xy(dataset)
+    x_all, y_all, ids = as_xy(dataset)
     dirs = orthonormal_directions(n_dirs, x_all.shape[1:], seed)
     deltas = {e: [] for e in etas}
     norms = []
@@ -248,7 +242,7 @@ def directional_mismatch(bank, model, dataset, etas=(1e-2, 1e-3, 1e-4),
 
 def gradient_norm_stats(bank, model, dataset, eot_k=128, crn=True, seed=0):
     """L2 norms of per-sample EoT input gradients: {median, p05, p95}."""
-    x_all, y_all, ids = _as_xy(dataset)
+    x_all, y_all, ids = as_xy(dataset)
     if len(y_all) == 0:
         raise DomainError("gradient_norm_stats needs a nonempty dataset")
     g = eot_gradient(bank, model, x_all, y_all, eot_k, crn=crn, seed=seed,
@@ -331,7 +325,7 @@ def transfer_matrix(bank, model, dataset, spec):
     """K x K robust accuracy (%): craft on pipeline i, evaluate pipeline j."""
     if spec.kind != "pgd":
         raise DomainError("transfer matrices are defined for pgd attacks")
-    x_all, y_all, _ = _as_xy(dataset)
+    x_all, y_all, _ = as_xy(dataset)
     k = bank.k
     out = np.zeros((k, k))
     for i in range(k):
@@ -365,7 +359,7 @@ def probe_variance_study(bank, x_batch, p_list=(2, 5, 10, 20, 40),
             tape = Tape()
             xv = tape.leaf(x_batch)
             probes = draw_input_probes(p, x_batch.shape[1:], [seed, p, t])
-            val = js_component(tape, bank, xv, probes)
+            val = js_component(tape, bank, xv, probes, bind_bank(tape, bank))
             estimates[p].append(float(val.value))
     reference = float(np.mean([v for p in p_list for v in estimates[p]]))
     rows = []

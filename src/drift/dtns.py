@@ -110,7 +110,7 @@ def read_tensors(path):
 
 def save_checkpoint(path, bank, model, data_seed=0, n_per_class=0):
     arch = bank.filters[0].arch
-    meta = np.array([
+    meta = [
         _CKPT_VERSION,
         _ARCH_CODES[arch.name],
         arch.hidden,
@@ -123,7 +123,11 @@ def save_checkpoint(path, bank, model, data_seed=0, n_per_class=0):
         int(model.frozen),
         data_seed,
         n_per_class,
-    ], dtype=np.int64)
+    ]
+    try:
+        meta = np.array(meta, dtype=np.int64)
+    except OverflowError as exc:
+        raise DomainError(f"checkpoint metadata outside int64: {exc}") from exc
     tensors = {"__meta__": meta}
     for k in sorted(model.params):
         tensors[f"base.{k}"] = model.params[k]

@@ -19,7 +19,7 @@ from .attacks import (
     AttackSpec, _margins, adaptive_attack, base_oracle, draw_counts,
     ensemble_margin_score, mim, pgd, square_attack,
 )
-from .data import Split, check_dataset_shape, generate_synthetic_dataset
+from .data import Split, as_xy, check_dataset_shape, generate_synthetic_dataset
 from .diagnostics import (
     consensus, directional_mismatch, gradient_norm_stats, loss_landscape,
     make_eot_ce_loss, probe_variance_study, transfer_matrix,
@@ -135,20 +135,26 @@ def _section(cls, d, path, **defaults):
 
     Keys missing from d take `defaults`, then the field defaults; nested
     config objects are built the same way. Unknown keys and invalid values
-    raise DomainError naming their key path.
+    raise DomainError naming their key path. Every seed (`seed`, `*_seed`)
+    must be an integer in [0, 2^63 - 1], the range checkpoints store.
     """
     if not isinstance(d, dict):
         raise DomainError(f"config {path} must be an object")
     types = {f.name: f.type for f in fields(cls)}
-    d = dict(defaults, **d)
+    d = dict(d)
     for key, value in d.items():
         where = f"{path}.{key}" if path else key
         if key not in types:
             raise DomainError(f"unknown config key {where}")
+        if (key == "seed" or key.endswith("_seed")) and not (
+                isinstance(value, (int, np.integer)) and 0 <= value < 2 ** 63):
+            raise DomainError(
+                f"config {where} must be an integer in [0, 2^63 - 1], "
+                f"got {value!r}")
         if is_dataclass(types[key]) and isinstance(value, dict):
             d[key] = _section(types[key], value, where)
     try:
-        return cls(**d)
+        return cls(**dict(defaults, **d))
     except (DomainError, TypeError) as exc:
         raise DomainError(f"config {path}: {exc}") from exc
 
@@ -289,12 +295,7 @@ def evaluate_robust_accuracy(bank, model, eval_set, attack_specs,
     rows (id, kind, budget, success, queries, final margin) go to csv_path
     when given.
     """
-    if isinstance(eval_set, Split):
-        x, y, ids = eval_set.x, eval_set.y, eval_set.ids
-    else:
-        x, y = eval_set
-        ids = np.arange(len(y))
-    y = np.asarray(y)
+    x, y, ids = as_xy(eval_set)
 
     preds, _ = stochastic_predict(bank, model, x, ids, inference_seed)
     clean = 100.0 * float(np.mean(preds == y))
@@ -339,38 +340,40 @@ def evaluate_robust_accuracy(bank, model, eval_set, attack_specs,
 def measure_overhead(bank, model, n_trials=200):
     """Median single-input forward times, their ratio, parameter bytes.
 
-    bank=None times the undefended forward on both sides (ratio ~ 1).
-    param_bytes is the per-filter footprint; bank_param_bytes the total.
+    Each trial times one base forward and one defended forward back to back,
+    so a slow phase of the machine hits both medians alike. bank=None times
+    the undefended forward on both sides (ratio ~ 1). param_bytes is the
+    per-filter footprint; bank_param_bytes the total.
     """
     if n_trials < 100:
         raise DomainError("need at least 100 trials for a stable median")
     c, h, w = model.image_shape
     x = np.random.default_rng(97).uniform(0.0, 1.0, size=(1, c, h, w))
 
-    def med(fn):
-        ts = []
-        for _ in range(n_trials):
-            t0 = time.perf_counter()
-            fn()
-            ts.append(time.perf_counter() - t0)
-        return float(np.median(ts))
+    def base():
+        model.forward_np(x)
 
-    base_s = med(lambda: model.forward_np(x))
     if bank is None or bank.k == 0:
-        ens_s = med(lambda: model.forward_np(x))
+        defended = base
         pbytes = 0
         total = 0
     else:
         counter = {"i": 0}
 
-        def one():
+        def defended():
             f = bank.filters[counter["i"] % bank.k]
             counter["i"] += 1
             model.forward_np(filter_forward_np(f, x))
-        ens_s = med(one)
         itemsize = next(iter(bank.filters[0].params.values())).itemsize
         pbytes = filter_param_count(bank.filters[0]) * itemsize
         total = sum(filter_param_count(f) for f in bank.filters) * itemsize
+    ts = np.empty((n_trials, 2))
+    for t in range(n_trials):
+        for j, fn in enumerate((base, defended)):
+            t0 = time.perf_counter()
+            fn()
+            ts[t, j] = time.perf_counter() - t0
+    base_s, ens_s = (float(m) for m in np.median(ts, axis=0))
     return {
         "base_forward_s": base_s,
         "ensemble_forward_s": ens_s,

@@ -7,12 +7,15 @@ gradients (optionally against the unfiltered identity path). loss_adv is a
 worst-case-filter cross-entropy on points perturbed against the base model
 alone.
 
-Each component has a taped builder (returns a Var; parameter gradients flow,
-including through the recorded backward passes that produce the VJPs) and a
-plain float wrapper with the public signature.
+Each component has a taped builder (given the bank's parameters bound on the
+tape by the caller, it returns a Var; parameter gradients flow, including
+through the recorded backward passes that produce the VJPs) and a plain float
+wrapper with the public signature.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -124,90 +127,72 @@ def bind_bank(tape, bank):
     return [bind_params(tape, f.params) for f in bank.filters]
 
 
-def ce_component(tape, bank, model, x_var, y, bank_pvars=None, model_pvars=None):
+def _logits(tape, bank, model, x_var, bank_pvars):
+    """Binds the base once; returns (its Vars, [M(f_i(x)) for each filter])."""
+    model_pvars = bind_params(tape, model.params)
+    return model_pvars, [base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
+                         for f, pv in zip(bank.filters, bank_pvars)]
+
+
+def _probed_cos_sq(tape, outs, x_var, probes, anchor=None):
+    """Per probe, batch-mean cos^2 of the outputs' VJPs: every pair i<j and,
+    given an anchor output, each output against the anchor.
+
+    Returns (pair terms, anchor terms) as lists of scalar Vars. Per probe the
+    VJPs are taken over the outputs in order, then the anchor's.
+    """
+    n = x_var.value.shape[0]
+    pair_terms, anchor_terms = [], []
+    for p in probes:
+        cot = np.broadcast_to(p, (n,) + p.shape).copy()
+        us = [vjp(tape, z, cot, [x_var])[0] for z in outs]
+        pair_terms.extend(mean_all(cos_sq_rows(a, b))
+                          for a, b in combinations(us, 2))
+        if anchor is not None:
+            u_anchor = vjp(tape, anchor, cot, [x_var])[0]
+            anchor_terms.extend(mean_all(cos_sq_rows(u, u_anchor)) for u in us)
+    return pair_terms, anchor_terms
+
+
+def ce_component(tape, bank, model, x_var, y, bank_pvars):
     """Mean over batch and filters of CE(M(f_i(x)), y)."""
-    if bank_pvars is None:
-        bank_pvars = bind_bank(tape, bank)
-    if model_pvars is None:
-        model_pvars = bind_params(tape, model.params)
-    terms = []
-    for f, pv in zip(bank.filters, bank_pvars):
-        logits = base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
-        terms.append(mean_all(cross_entropy_rows(logits, y)))
-    return _mean_of(terms)
+    _, logits = _logits(tape, bank, model, x_var, bank_pvars)
+    return _mean_of([mean_all(cross_entropy_rows(z, y)) for z in logits])
 
 
-def js_component(tape, bank, x_var, probes_v, bank_pvars=None):
+def js_component(tape, bank, x_var, probes_v, bank_pvars):
     """Mean squared cosine between filter-Jacobian VJPs over pairs i<j.
 
     probes_v: [P, C, H, W] array, shared by every pair and sample. Returns
     None when the bank has fewer than two filters (nothing to compare).
     """
-    k = bank.k
-    if k < 2:
+    if bank.k < 2:
         return None
-    if bank_pvars is None:
-        bank_pvars = bind_bank(tape, bank)
-    n = x_var.value.shape[0]
     outs = [filter_apply(f.arch, pv, x_var)
             for f, pv in zip(bank.filters, bank_pvars)]
-    terms = []
-    for v in probes_v:
-        cot = np.broadcast_to(v, (n,) + v.shape).copy()
-        us = [vjp(tape, y, cot, [x_var])[0] for y in outs]
-        for i in range(k):
-            for j in range(i + 1, k):
-                terms.append(mean_all(cos_sq_rows(us[i], us[j])))
-    return _mean_of(terms)
+    pair_terms, _ = _probed_cos_sq(tape, outs, x_var, probes_v)
+    return _mean_of(pair_terms)
 
 
-def lvjp_component(tape, bank, model, x_var, probes_w, include_identity=True,
-                   bank_pvars=None, model_pvars=None):
+def lvjp_component(tape, bank, model, x_var, probes_w, bank_pvars,
+                   include_identity=True):
     """Mean squared cosine between logit-probed input gradients.
 
     Pairwise terms over filters i<j plus, when include_identity, terms
     against the unfiltered path M(x); the two groups get equal weight.
     Returns None when no group has any term.
     """
-    k = bank.k
-    if bank_pvars is None:
-        bank_pvars = bind_bank(tape, bank)
-    if model_pvars is None:
-        model_pvars = bind_params(tape, model.params)
-    n = x_var.value.shape[0]
-    logits = [base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
-              for f, pv in zip(bank.filters, bank_pvars)]
-    logits_id = base_apply(model_pvars, x_var) if include_identity else None
-
-    pair_terms, id_terms = [], []
-    for w in probes_w:
-        cot = np.broadcast_to(w, (n, w.shape[0])).copy()
-        gs = [vjp(tape, z, cot, [x_var])[0] for z in logits]
-        for i in range(k):
-            for j in range(i + 1, k):
-                pair_terms.append(mean_all(cos_sq_rows(gs[i], gs[j])))
-        if include_identity:
-            g_id = vjp(tape, logits_id, cot, [x_var])[0]
-            for i in range(k):
-                id_terms.append(mean_all(cos_sq_rows(gs[i], g_id)))
-    groups = [_mean_of(t) for t in (pair_terms, id_terms) if t]
-    if not groups:
-        return None
-    return _mean_of(groups)
+    model_pvars, logits = _logits(tape, bank, model, x_var, bank_pvars)
+    anchor = base_apply(model_pvars, x_var) if include_identity else None
+    groups = [_mean_of(t) for t in _probed_cos_sq(tape, logits, x_var,
+                                                   probes_w, anchor) if t]
+    return _mean_of(groups) if groups else None
 
 
-def adv_component(tape, bank, model, xadv_var, y, bank_pvars=None, model_pvars=None):
+def adv_component(tape, bank, model, xadv_var, y, bank_pvars):
     """Mean over batch of the worst per-filter CE on perturbed inputs."""
-    if bank_pvars is None:
-        bank_pvars = bind_bank(tape, bank)
-    if model_pvars is None:
-        model_pvars = bind_params(tape, model.params)
-    worst = None
-    for f, pv in zip(bank.filters, bank_pvars):
-        logits = base_apply(model_pvars, filter_apply(f.arch, pv, xadv_var))
-        ce = cross_entropy_rows(logits, y)
-        worst = ce if worst is None else maximum(worst, ce)
-    return mean_all(worst)
+    _, logits = _logits(tape, bank, model, xadv_var, bank_pvars)
+    return mean_all(reduce(maximum, [cross_entropy_rows(z, y) for z in logits]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +204,8 @@ def loss_ce(bank, model, batch):
     if np.asarray(x).shape[0] == 0:
         raise DomainError("empty batch")
     tape = Tape()
-    return float(ce_component(tape, bank, model, tape.leaf(x), y).value)
+    return float(ce_component(tape, bank, model, tape.leaf(x), y,
+                              bind_bank(tape, bank)).value)
 
 
 def loss_js(bank, x_batch, probes):
@@ -229,7 +215,7 @@ def loss_js(bank, x_batch, probes):
     x_batch = np.asarray(x_batch, dtype=np.float64)
     v = draw_input_probes(probes.p_v, x_batch.shape[1:], probes.seed)
     tape = Tape()
-    out = js_component(tape, bank, tape.leaf(x_batch), v)
+    out = js_component(tape, bank, tape.leaf(x_batch), v, bind_bank(tape, bank))
     return float(out.value)
 
 
@@ -238,7 +224,7 @@ def loss_lvjp(bank, model, x_batch, probes, include_identity=True):
     w = draw_logit_probes(probes.p_w, model.k_classes, probes.seed)
     tape = Tape()
     out = lvjp_component(tape, bank, model, tape.leaf(x_batch), w,
-                         include_identity=include_identity)
+                         bind_bank(tape, bank), include_identity)
     return None if out is None else float(out.value)
 
 
@@ -253,7 +239,8 @@ def loss_adv(bank, model, batch, delta_M, eps):
             f"|delta|_inf = {np.abs(delta_M).max():.6g} exceeds eps = {eps:.6g}")
     xadv = np.clip(x + delta_M, 0.0, 1.0)
     tape = Tape()
-    return float(adv_component(tape, bank, model, tape.leaf(xadv), y).value)
+    return float(adv_component(tape, bank, model, tape.leaf(xadv), y,
+                               bind_bank(tape, bank)).value)
 
 
 def total_loss(weights, ce, js=None, lvjp=None, adv=None):

@@ -254,13 +254,11 @@ def filter_apply(arch, p, x):
     return h
 
 
-def filter_forward(filt, x, pvars=None):
-    """Apply one filter to a taped Var; binds params fresh unless given."""
+def filter_forward(filt, x):
+    """Apply one filter to a taped Var, binding its params fresh."""
     if not isinstance(x, Var):
         raise ShapeError("filter_forward expects a taped Var; use filter_forward_np for arrays")
-    if pvars is None:
-        pvars = bind_params(x.tape, filt.params)
-    return filter_apply(filt.arch, pvars, x)
+    return filter_apply(filt.arch, bind_params(x.tape, filt.params), x)
 
 
 def filter_forward_np(filt, x):

@@ -9,21 +9,27 @@ AdamW. The base model is frozen throughout; only filter parameters move.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .attacks import AttackSpec, base_oracle, pgd
 from .errors import DivergenceError, DomainError, NonFiniteLoss
 from .losses import (
-    LossWeights, ProbeConfig, adv_component, bind_bank, ce_component,
-    draw_input_probes, draw_logit_probes, js_component, lvjp_component,
-    total_loss,
+    LossBreakdown, LossWeights, ProbeConfig, adv_component, bind_bank,
+    ce_component, draw_input_probes, draw_logit_probes, js_component,
+    lvjp_component, total_loss,
 )
 from .rng import rng_from
 from .tape import Tape, grad
 
 EPOCH_TAG = 71
+
+# Per epoch: its number, the means of each LossBreakdown field and of the
+# pre-clip gradient norm over the epoch's finite batches, and the count of
+# gradient entries sanitized.
+LOG_FIELDS = ("epoch", *(f.name for f in fields(LossBreakdown)), "grad_norm",
+              "n_sanitized")
 
 
 @dataclass
@@ -119,9 +125,9 @@ def optimizer_step(params, grads, state, lr, weight_decay,
     return params, state
 
 
-def _bank_params_flat(bank):
-    return {f"{i}.{k}": bank.filters[i].params[k]
-            for i in range(bank.k) for k in sorted(bank.filters[i].params)}
+def _flat(per_filter):
+    """One "i.name" key per entry of a list of per-filter dicts."""
+    return {f"{i}.{k}": d[k] for i, d in enumerate(per_filter) for k in sorted(d)}
 
 
 def _write_back(bank, flat):
@@ -130,18 +136,11 @@ def _write_back(bank, flat):
         bank.filters[int(i)].params[k] = arr
 
 
-def _component_grads(tape, out, pvars_flat):
-    keys = list(pvars_flat)
-    gs = grad(tape, out, [pvars_flat[k] for k in keys])
-    return {k: g.value for k, g in zip(keys, gs)}
-
-
 def train_drift(model, bank, dataset, config):
     """Optimize the bank; returns (bank, per-epoch log rows).
 
-    Log rows: dicts with epoch, ce, js, lvjp, adv, total, grad_norm,
-    n_sanitized. Fixed config.seed gives bitwise-identical logs and
-    parameters across runs.
+    Log rows: dicts keyed by LOG_FIELDS. Fixed config.seed gives
+    bitwise-identical logs and parameters across runs.
     """
     if not model.frozen:
         raise DomainError("base model must be frozen before filter training")
@@ -154,7 +153,7 @@ def train_drift(model, bank, dataset, config):
     base_sum = model.checksum()
 
     w = config.weights
-    flat = _bank_params_flat(bank)
+    flat = _flat([f.params for f in bank.filters])
     state = OptimizerState.for_params(flat)
     inner_spec = AttackSpec(
         kind="pgd", norm="linf", epsilon=config.pgd_epsilon,
@@ -169,8 +168,7 @@ def train_drift(model, bank, dataset, config):
         use_lvjp = epoch > config.w_lvjp and w.beta_lvjp > 0
         use_adv = epoch > config.w_adv and w.lambda_adv > 0
 
-        sums = {"ce": 0.0, "js": 0.0, "lvjp": 0.0, "adv": 0.0, "total": 0.0,
-                "grad_norm": 0.0}
+        sums = [0.0] * (len(LOG_FIELDS) - 2)
         n_sanitized = 0
         n_batches = 0
         n_bad_batches = 0
@@ -184,26 +182,23 @@ def train_drift(model, bank, dataset, config):
             def run_component(build, weight, name):
                 tape = Tape()
                 pvars = bind_bank(tape, bank)
-                pflat = {f"{i}.{k}": pvars[i][k]
-                         for i in range(bank.k) for k in sorted(pvars[i])}
                 out = build(tape, pvars)
                 if out is None:
                     return
                 comp_vals[name] = float(out.value)
-                for k, g in _component_grads(tape, out, pflat).items():
-                    acc[k] += weight * g
+                pflat = _flat(pvars)
+                for k, g in zip(pflat, grad(tape, out, list(pflat.values()))):
+                    acc[k] += weight * g.value
 
             run_component(
-                lambda t, pv: ce_component(t, bank, model, t.leaf(xb), yb,
-                                           bank_pvars=pv),
+                lambda t, pv: ce_component(t, bank, model, t.leaf(xb), yb, pv),
                 w.alpha, "ce")
             if use_js:
                 pv_seed = [config.probes.seed, epoch, b]
                 probes_v = draw_input_probes(config.probes.p_v,
                                              xb.shape[1:], pv_seed)
                 run_component(
-                    lambda t, pv: js_component(t, bank, t.leaf(xb), probes_v,
-                                               bank_pvars=pv),
+                    lambda t, pv: js_component(t, bank, t.leaf(xb), probes_v, pv),
                     w.beta_js, "js")
             if use_lvjp:
                 pw_seed = [config.probes.seed, epoch, b]
@@ -211,21 +206,17 @@ def train_drift(model, bank, dataset, config):
                                              model.k_classes, pw_seed)
                 run_component(
                     lambda t, pv: lvjp_component(t, bank, model, t.leaf(xb),
-                                                 probes_w, include_identity=True,
-                                                 bank_pvars=pv),
+                                                 probes_w, pv),
                     w.beta_lvjp, "lvjp")
             if use_adv:
                 xadv, _ = pgd(oracle, xb, yb, inner_spec)
                 run_component(
                     lambda t, pv: adv_component(t, bank, model, t.leaf(xadv),
-                                                yb, bank_pvars=pv),
+                                                yb, pv),
                     w.lambda_adv, "adv")
 
             try:
-                breakdown = total_loss(w, comp_vals.get("ce"),
-                                       comp_vals.get("js"),
-                                       comp_vals.get("lvjp"),
-                                       comp_vals.get("adv"))
+                breakdown = total_loss(w, **comp_vals)
             except NonFiniteLoss:
                 n_bad_batches += 1
                 n_batches += 1
@@ -239,36 +230,19 @@ def train_drift(model, bank, dataset, config):
                                          config.weight_decay)
             _write_back(bank, flat)
 
-            sums["ce"] += breakdown.ce
-            sums["js"] += breakdown.js
-            sums["lvjp"] += breakdown.lvjp
-            sums["adv"] += breakdown.adv
-            sums["total"] += breakdown.total
-            sums["grad_norm"] += pre_norm
+            sums = [s + v for s, v in zip(sums, (*astuple(breakdown), pre_norm))]
             n_batches += 1
 
         if n_batches and n_bad_batches == n_batches:
             raise DivergenceError(
                 f"epoch {epoch}: every batch produced a non-finite total")
         n_ok = max(n_batches - n_bad_batches, 1)
-        log.append({
-            "epoch": epoch,
-            "ce": sums["ce"] / n_ok,
-            "js": sums["js"] / n_ok,
-            "lvjp": sums["lvjp"] / n_ok,
-            "adv": sums["adv"] / n_ok,
-            "total": sums["total"] / n_ok,
-            "grad_norm": sums["grad_norm"] / n_ok,
-            "n_sanitized": n_sanitized,
-        })
+        log.append(dict(zip(LOG_FIELDS, (epoch, *(s / n_ok for s in sums),
+                                         n_sanitized))))
 
     if model.checksum() != base_sum:
         raise DivergenceError("frozen base model was mutated during training")
     return bank, log
-
-
-LOG_FIELDS = ("epoch", "ce", "js", "lvjp", "adv", "total",
-              "grad_norm", "n_sanitized")
 
 
 def write_training_log(log, path):
@@ -280,17 +254,8 @@ def write_training_log(log, path):
 
 
 def read_training_log(path):
+    """Rows as train_drift returns them: the first and last fields are counts."""
     with open(path, newline="") as fh:
-        rows = []
-        for row in csv.DictReader(fh):
-            rows.append({
-                "epoch": int(row["epoch"]),
-                "ce": float(row["ce"]),
-                "js": float(row["js"]),
-                "lvjp": float(row["lvjp"]),
-                "adv": float(row["adv"]),
-                "total": float(row["total"]),
-                "grad_norm": float(row["grad_norm"]),
-                "n_sanitized": int(row["n_sanitized"]),
-            })
-        return rows
+        rows = [[row[k] for k in LOG_FIELDS] for row in csv.DictReader(fh)]
+    return [dict(zip(LOG_FIELDS, (int(r[0]), *map(float, r[1:-1]), int(r[-1]))))
+            for r in rows]

@@ -106,6 +106,8 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     ({"attack": []}, "attack"),
     ({"bank": {"kk": 3}}, "bank.kk"),
     ({"bank": {"k": 0}}, "config bank: k"),
+    ({"seed": 2 ** 64}, "config seed"),
+    ({"attacks": [{"kind": "pgd", "seed": -1}]}, "config attacks[0].seed"),
 ])
 def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, change, key):
     cfg_path = tmp_path / "config.json"

@@ -173,6 +173,14 @@ def test_checkpoint_metadata_is_exact_above_2_53(tmp_path):
     assert meta["data_seed"] == data_seed and meta["n_per_class"] == 7
 
 
+@pytest.mark.parametrize("bank_seed, data_seed", [(2 ** 63, 0), (0, -2 ** 63 - 1)])
+def test_checkpoint_metadata_outside_int64_is_a_domain_error(tmp_path, bank_seed,
+                                                             data_seed):
+    with pytest.raises(DomainError, match="outside int64"):
+        _small_checkpoint(tmp_path, bank_seed, data_seed)
+    assert not (tmp_path / "ckpt.dtns").exists()
+
+
 def test_version_1_checkpoint_still_loads(tmp_path):
     path, bank, model = _small_checkpoint(tmp_path, 6, 11)
     tensors = read_tensors(path)

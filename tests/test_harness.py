@@ -115,6 +115,28 @@ def test_config_rejects_degenerate_specs(section, body, key):
         config_from_dict({section: body})
 
 
+@pytest.mark.parametrize("body, where", [
+    ({"seed": 2 ** 64}, "seed"),
+    ({"seed": 2 ** 63}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"inference_seed": -1}, "inference_seed"),
+    ({"dataset": {"seed": 2 ** 63}}, "dataset.seed"),
+    ({"train": {"seed": -1}}, "train.seed"),
+    ({"train": {"probes": {"seed": 2 ** 64}}}, "train.probes.seed"),
+    ({"attacks": [{"kind": "pgd"}, {"seed": -3}]}, r"attacks\[1\].seed"),
+    ({"dataset": {"seed": 1.5}}, "dataset.seed"),
+])
+def test_config_rejects_seeds_outside_int64(body, where):
+    with pytest.raises(DomainError, match=f"config {where} must be an integer"):
+        config_from_dict(body)
+
+
+def test_config_accepts_the_largest_seed():
+    config = config_from_dict({"seed": 2 ** 63 - 1, "attacks": [{"kind": "pgd"}]})
+    assert config.dataset.seed == config.train.probes.seed == 2 ** 63 - 1
+    assert config.attacks[0].seed == config.inference_seed == 2 ** 63 - 1
+
+
 def test_default_config_is_complete():
     config = default_config(out_dir="x", seed=3)
     assert config.seed == 3

@@ -18,9 +18,11 @@ from drift.losses import (
 )
 from drift.models import (
     FilterBank, base_apply, bind_params, build_base_model, build_filter_bank,
-    init_filter_identity,
+    filter_apply, init_filter_identity,
 )
-from drift.tape import Tape, grad
+from drift.tape import (
+    Tape, add, cross_entropy_rows, grad, maximum, mean_all, scale, vjp,
+)
 
 RNG = np.random.default_rng(314)
 
@@ -320,3 +322,123 @@ def test_component_param_gradients_match_fd(component):
         fd = (fp - fm) / (2 * eta)
         an = float(np.vdot(u, g))
         assert abs(an - fd) / (abs(fd) + 1e-12) < 1e-4, f"{component}: {an} vs {fd}"
+
+
+# The component builders before the pipeline logits and the probed-pair loop
+# were each written once, kept here as the reference.
+
+def _reference_mean_of(terms):
+    out = terms[0]
+    for t in terms[1:]:
+        out = add(out, t)
+    return scale(out, 1.0 / len(terms))
+
+
+def _reference_ce(tape, bank, model, x_var, y, bank_pvars):
+    model_pvars = bind_params(tape, model.params)
+    terms = []
+    for f, pv in zip(bank.filters, bank_pvars):
+        logits = base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
+        terms.append(mean_all(cross_entropy_rows(logits, y)))
+    return _reference_mean_of(terms)
+
+
+def _reference_js(tape, bank, x_var, probes_v, bank_pvars):
+    k = bank.k
+    if k < 2:
+        return None
+    n = x_var.value.shape[0]
+    outs = [filter_apply(f.arch, pv, x_var)
+            for f, pv in zip(bank.filters, bank_pvars)]
+    terms = []
+    for v in probes_v:
+        cot = np.broadcast_to(v, (n,) + v.shape).copy()
+        us = [vjp(tape, y, cot, [x_var])[0] for y in outs]
+        for i in range(k):
+            for j in range(i + 1, k):
+                terms.append(mean_all(cos_sq_rows(us[i], us[j])))
+    return _reference_mean_of(terms)
+
+
+def _reference_lvjp(tape, bank, model, x_var, probes_w, bank_pvars,
+                    include_identity):
+    k = bank.k
+    model_pvars = bind_params(tape, model.params)
+    n = x_var.value.shape[0]
+    logits = [base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
+              for f, pv in zip(bank.filters, bank_pvars)]
+    logits_id = base_apply(model_pvars, x_var) if include_identity else None
+    pair_terms, id_terms = [], []
+    for w in probes_w:
+        cot = np.broadcast_to(w, (n, w.shape[0])).copy()
+        gs = [vjp(tape, z, cot, [x_var])[0] for z in logits]
+        for i in range(k):
+            for j in range(i + 1, k):
+                pair_terms.append(mean_all(cos_sq_rows(gs[i], gs[j])))
+        if include_identity:
+            g_id = vjp(tape, logits_id, cot, [x_var])[0]
+            for i in range(k):
+                id_terms.append(mean_all(cos_sq_rows(gs[i], g_id)))
+    groups = [_reference_mean_of(t) for t in (pair_terms, id_terms) if t]
+    if not groups:
+        return None
+    return _reference_mean_of(groups)
+
+
+def _reference_adv(tape, bank, model, xadv_var, y, bank_pvars):
+    model_pvars = bind_params(tape, model.params)
+    worst = None
+    for f, pv in zip(bank.filters, bank_pvars):
+        logits = base_apply(model_pvars, filter_apply(f.arch, pv, xadv_var))
+        ce = cross_entropy_rows(logits, y)
+        worst = ce if worst is None else maximum(worst, ce)
+    return mean_all(worst)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("component", ["ce", "js", "lvjp", "lvjp_no_id", "adv"])
+def test_components_match_reference_builders(component, k):
+    model = build_base_model((3, 4, 4), 3, seed=30, channels=(4, 4))
+    model.freeze()
+    bank = micro_bank(k, seed=31, hidden=4, jitter=0.15)
+    x = np.random.default_rng(32).uniform(0.1, 0.9, (3, 3, 4, 4))
+    y = np.array([0, 2, 1])
+    probes_v = draw_input_probes(2, x.shape[1:], seed=33)
+    probes_w = draw_logit_probes(2, 3, seed=34)
+    builders = {
+        "ce": (lambda t, xv, pv: ce_component(t, bank, model, xv, y, pv),
+               lambda t, xv, pv: _reference_ce(t, bank, model, xv, y, pv)),
+        "js": (lambda t, xv, pv: js_component(t, bank, xv, probes_v, pv),
+               lambda t, xv, pv: _reference_js(t, bank, xv, probes_v, pv)),
+        "lvjp": (lambda t, xv, pv: lvjp_component(t, bank, model, xv, probes_w,
+                                                  pv, include_identity=True),
+                 lambda t, xv, pv: _reference_lvjp(t, bank, model, xv,
+                                                   probes_w, pv, True)),
+        "lvjp_no_id": (lambda t, xv, pv: lvjp_component(
+                           t, bank, model, xv, probes_w, pv,
+                           include_identity=False),
+                       lambda t, xv, pv: _reference_lvjp(t, bank, model, xv,
+                                                         probes_w, pv, False)),
+        "adv": (lambda t, xv, pv: adv_component(t, bank, model, xv, y, pv),
+                lambda t, xv, pv: _reference_adv(t, bank, model, xv, y, pv)),
+    }
+
+    def run(build):
+        tape = Tape()
+        pvars = bind_bank(tape, bank)
+        out = build(tape, tape.leaf(x), pvars)
+        if out is None:
+            return None, [], len(tape.nodes)
+        wrt = [pv[name] for pv in pvars for name in sorted(pv)]
+        gs = [g.value for g in grad(tape, out, wrt)]
+        return out.value, gs, len(tape.nodes)
+
+    new, ref = (run(b) for b in builders[component])
+    assert new[2] == ref[2]
+    if ref[0] is None:
+        assert new[0] is None
+        return
+    assert new[0].tobytes() == ref[0].tobytes()
+    assert len(new[1]) == len(ref[1]) == sum(len(f.params) for f in bank.filters)
+    for a, b in zip(new[1], ref[1]):
+        assert a.tobytes() == b.tobytes()
