@@ -55,6 +55,14 @@ class AttackSpec:
             self.step_size = self.epsilon / 10
         if self.step_size <= 0:
             raise DomainError("step_size must be positive")
+        if self.eot_samples < 0:
+            raise DomainError("eot_samples must be nonnegative")
+        if self.query_budget < 0:
+            raise DomainError("query_budget must be nonnegative")
+        if self.bpda_identity and self.eot_samples < 1:
+            raise DomainError("bpda_identity needs eot_samples >= 1")
+        if self.kind in ("mim", "square") and self.norm != "linf":
+            raise DomainError(f"{self.kind} is defined for the linf norm")
 
 
 @dataclass
@@ -69,14 +77,11 @@ class GradientOracle:
         return self.fn(x, y, step, self._calls[0])
 
 
-def _batchify(x, y=None):
+def _batchify(x, y):
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 3
-    xb = x[None] if single else x
-    if y is None:
-        return xb, None, single
     yb = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    return xb, yb, single
+    return (x[None] if single else x), yb, single
 
 
 def _pipeline_loss_grad(model, filt, x, y, bpda=False, w=None):
@@ -171,14 +176,6 @@ def eot_gradient(bank, model, x, y, K_samples, crn=True, seed=0, step=0,
     return g[0] if single else g
 
 
-def bpda_gradient(bank, model, x, y, sampled_filter):
-    """Defended gradient with the filter's backward replaced by identity."""
-    xb, yb, single = _batchify(x, y)
-    filt = bank.filters[sampled_filter] if isinstance(sampled_filter, int) else sampled_filter
-    _, g = _pipeline_loss_grad(model, filt, xb, yb, bpda=True)
-    return g[0] if single else g
-
-
 def eot_oracle(bank, model, eot_samples, crn=True, seed=0, sample_ids=None,
                bpda=False):
     """Adaptive threat model: EoT mixture gradient, optional BPDA backward.
@@ -255,8 +252,6 @@ def pgd(oracle, x, y, spec, telemetry=None):
 
 def mim(oracle, x, y, spec, telemetry=None):
     """Momentum iterative method; l_inf stepping and projection only."""
-    if spec.norm != "linf":
-        raise DomainError("mim is defined for the linf norm")
     m = 0.0  # the momentum; a scalar zero broadcasts like zeros_like(x)
 
     def direction(g):
@@ -292,8 +287,6 @@ def square_attack(score_fn, x, y, spec, sample_ids=None):
     Accepts a proposal only when the margin strictly decreases. Returns
     (x_adv, success flags, queries_used).
     """
-    if spec.norm != "linf":
-        raise DomainError("square attack is defined for the linf norm")
     xb, yb, single = _batchify(x, y)
     _check_inputs(xb)
     n, c, h, w = xb.shape
@@ -343,14 +336,6 @@ def square_attack(score_fn, x, y, spec, sample_ids=None):
     return x_adv, success, queries
 
 
-def base_margin_score(model):
-    """Deterministic margin of the undefended base model."""
-    def score(x, y, row_seeds):
-        logits = model.forward_np(x)
-        return _margins(logits, y)
-    return score
-
-
 def ensemble_margin_score(bank, model):
     """Stochastic defended margin: one filter draw per row per query."""
     def score(x, y, row_seeds):
@@ -373,13 +358,10 @@ def adaptive_attack(bank, model, x, y, spec, telemetry=None):
         raise DomainError("adaptive attack needs eot_samples >= 1")
     if spec.kind not in ("pgd", "mim"):
         raise DomainError("adaptive attack drives pgd or mim")
-    xb, _, single = _batchify(x)
-    ids = np.arange(xb.shape[0])
     oracle = eot_oracle(bank, model, spec.eot_samples, crn=spec.crn,
-                        seed=spec.seed, sample_ids=ids, bpda=spec.bpda_identity)
+                        seed=spec.seed, bpda=spec.bpda_identity)
     runner = pgd if spec.kind == "pgd" else mim
-    x_adv, delta = runner(oracle, xb, np.atleast_1d(y), spec, telemetry=telemetry)
-    return (x_adv[0], delta[0]) if single else (x_adv, delta)
+    return runner(oracle, x, y, spec, telemetry=telemetry)
 
 
 def check_budget(delta, spec):

@@ -52,10 +52,10 @@ def cmd_train(args):
 
 
 def cmd_attack(args):
-    bank, model, eval_split = _load_for_eval(args.checkpoint)
     spec = AttackSpec(kind=args.attack, norm=args.norm, epsilon=args.eps,
                       steps=args.steps, eot_samples=args.eot,
                       bpda_identity=args.bpda, seed=args.seed)
+    bank, model, eval_split = _load_for_eval(args.checkpoint)
     out = Path(args.checkpoint).parent / f"attack_{attack_label(spec)}.csv"
     metrics = evaluate_robust_accuracy(bank, model, eval_split, [spec],
                                        inference_seed=args.seed,

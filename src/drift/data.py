@@ -99,11 +99,3 @@ def generate_synthetic_dataset(classes, side, n_per_class, seed, channels=3):
     eval_ = make_split(n_eval, 1, len(train))
     return train, eval_
 
-
-def nearest_template_accuracy(split, templates):
-    """Brute-force matched-filter classifier; separability witness."""
-    flat_t = templates.reshape(templates.shape[0], -1)
-    flat_x = split.x.reshape(split.x.shape[0], -1)
-    d2 = ((flat_x[:, None, :] - flat_t[None, :, :]) ** 2).sum(axis=2)
-    pred = d2.argmin(axis=1)
-    return float((pred == split.y).mean())

@@ -277,16 +277,6 @@ class LandscapeGrid:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_landscape_csv(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    meta = lines[1].split(",")
-    grid = np.asarray([[float(v) for v in line.split(",")]
-                       for line in lines[2:]])
-    return LandscapeGrid(grid=grid, tau=float(meta[0]), grid_n=int(meta[1]),
-                         dir_seed=int(meta[2]), eot_k=int(meta[3]))
-
-
 def make_eot_ce_loss(bank, model, y, sample_id, eot_k, crn=True, seed=0):
     """Single-input scalar loss under fixed CRN EoT draws."""
     yv = np.asarray([int(y)])

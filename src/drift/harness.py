@@ -112,7 +112,7 @@ class ExperimentConfig:
             "dataset": asdict(self.dataset),
             "model": dict(asdict(self.model), channels=list(self.model.channels)),
             "bank": asdict(self.bank),
-            "train": _train_to_dict(self.train),
+            "train": asdict(self.train),
             "attacks": [asdict(a) for a in self.attacks],
             "diagnostics": asdict(self.diagnostics),
             "inference_seed": self.inference_seed,
@@ -123,11 +123,6 @@ class ExperimentConfig:
     def save_json(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-
-
-def _train_to_dict(t):
-    # asdict recurses into the nested weights/probes dataclasses
-    return asdict(t)
 
 
 def _section(cls, d, path, **defaults):

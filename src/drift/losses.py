@@ -1,16 +1,15 @@
 """The four training loss components and their weighted total.
 
 Cross-entropy keeps the filtered pipelines accurate. The two separation
-terms push squared cosines between probed VJPs toward zero: loss_js compares
-the filters' own Jacobians, loss_lvjp compares full-pipeline logit
-gradients (optionally against the unfiltered identity path). loss_adv is a
-worst-case-filter cross-entropy on points perturbed against the base model
-alone.
+terms push squared cosines between probed VJPs toward zero: js_component
+compares the filters' own Jacobians, lvjp_component compares full-pipeline
+logit gradients (optionally against the unfiltered identity path).
+adv_component is a worst-case-filter cross-entropy on points perturbed
+against the base model alone.
 
-Each component has a taped builder (given the bank's parameters bound on the
-tape by the caller, it returns a Var; parameter gradients flow, including
-through the recorded backward passes that produce the VJPs) and a plain float
-wrapper with the public signature.
+Each component is a taped builder: given the bank's parameters bound on the
+tape by the caller, it returns a Var, and parameter gradients flow, including
+through the recorded backward passes that produce the VJPs.
 """
 
 from dataclasses import dataclass
@@ -19,11 +18,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, NonFiniteLoss, ShapeError
+from .errors import DomainError, NonFiniteLoss, ShapeError
 from .models import base_apply, bind_params, filter_apply
 from .rng import rng_from
 from .tape import (
-    Tape, add, add_const, cross_entropy_rows, div, dot_rows, maximum,
+    add, add_const, cross_entropy_rows, div, dot_rows, maximum,
     mean_all, mul, scale, sqrt, vjp,
 )
 
@@ -193,54 +192,6 @@ def adv_component(tape, bank, model, xadv_var, y, bank_pvars):
     """Mean over batch of the worst per-filter CE on perturbed inputs."""
     _, logits = _logits(tape, bank, model, xadv_var, bank_pvars)
     return mean_all(reduce(maximum, [cross_entropy_rows(z, y) for z in logits]))
-
-
-# ---------------------------------------------------------------------------
-# Public float-valued ops
-# ---------------------------------------------------------------------------
-
-def loss_ce(bank, model, batch):
-    x, y = batch
-    if np.asarray(x).shape[0] == 0:
-        raise DomainError("empty batch")
-    tape = Tape()
-    return float(ce_component(tape, bank, model, tape.leaf(x), y,
-                              bind_bank(tape, bank)).value)
-
-
-def loss_js(bank, x_batch, probes):
-    """None signals 'skipped' (K < 2); callers treat that as 0 weight."""
-    if bank.k < 2:
-        return None
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    v = draw_input_probes(probes.p_v, x_batch.shape[1:], probes.seed)
-    tape = Tape()
-    out = js_component(tape, bank, tape.leaf(x_batch), v, bind_bank(tape, bank))
-    return float(out.value)
-
-
-def loss_lvjp(bank, model, x_batch, probes, include_identity=True):
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    w = draw_logit_probes(probes.p_w, model.k_classes, probes.seed)
-    tape = Tape()
-    out = lvjp_component(tape, bank, model, tape.leaf(x_batch), w,
-                         bind_bank(tape, bank), include_identity)
-    return None if out is None else float(out.value)
-
-
-def loss_adv(bank, model, batch, delta_M, eps):
-    x, y = batch
-    x = np.asarray(x, dtype=np.float64)
-    delta_M = np.asarray(delta_M, dtype=np.float64)
-    if delta_M.shape != x.shape:
-        raise ShapeError("delta_M must match the batch shape")
-    if np.abs(delta_M).max() > eps + 1e-12:
-        raise BudgetError(
-            f"|delta|_inf = {np.abs(delta_M).max():.6g} exceeds eps = {eps:.6g}")
-    xadv = np.clip(x + delta_M, 0.0, 1.0)
-    tape = Tape()
-    return float(adv_component(tape, bank, model, tape.leaf(xadv), y,
-                               bind_bank(tape, bank)).value)
 
 
 def total_loss(weights, ce, js=None, lvjp=None, adv=None):

@@ -321,25 +321,18 @@ def routed_forward(bank, model, x, counts):
 
 
 def ensemble_forward(bank, model, x, mode="identity"):
-    """Forward through one selected path then M (tape-free).
+    """Forward through one fixed path then M (tape-free).
 
-    mode: "identity" | ("index", i) | ("sample", seed). Sample mode draws
-    uniformly over the K trained filters; the identity path never takes
-    part in inference sampling. Batched x draws one filter per sample.
+    mode: "identity" | ("index", i). Stochastic inference, one filter draw
+    per sample, is harness.stochastic_predict.
     """
     x = np.asarray(x, dtype=np.float64)
     if mode == "identity":
         return model.forward_np(x)
-    kind, arg = mode
-    if kind == "index":
-        i = int(arg)
-        if not 0 <= i < bank.k:
-            raise DomainError(f"filter index {i} out of range for K={bank.k}")
-    elif kind == "sample" and x.ndim == 3:
-        i = sample_filter_index(bank.k, arg)
-    elif kind == "sample":
-        idx = rng_from(arg).integers(0, bank.k, size=x.shape[0])
-        return routed_forward(bank, model, x, np.eye(bank.k, dtype=np.int64)[idx])
-    else:
+    if not (isinstance(mode, (tuple, list)) and len(mode) == 2
+            and mode[0] == "index"):
         raise DomainError(f"unknown ensemble_forward mode {mode!r}")
+    i = int(mode[1])
+    if not 0 <= i < bank.k:
+        raise DomainError(f"filter index {i} out of range for K={bank.k}")
     return model.forward_np(filter_forward_np(bank.filters[i], x))

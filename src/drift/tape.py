@@ -19,7 +19,7 @@ from .errors import DomainError, ShapeError, TapeError
 
 __all__ = [
     "Tape", "Var", "vjp", "grad",
-    "conv2d", "relu", "dense", "softmax_cross_entropy",
+    "conv2d", "relu", "dense",
     "add", "sub", "mul", "div", "neg", "scale", "add_const", "maximum",
     "sum_all", "dot", "sqrt", "reshape", "matmul", "transpose2d",
     "dot_rows", "rows_scale", "mean_all", "logsumexp_rows", "softmax_rows",
@@ -467,22 +467,6 @@ def cross_entropy_rows(logits, labels):
     """Per-sample softmax cross-entropy: [N,K] x [N] -> [N]."""
     labels = np.asarray(labels, dtype=np.int64)
     return sub(logsumexp_rows(logits), pick_rows(logits, labels))
-
-
-def softmax_cross_entropy(logits, label):
-    """-log softmax(logits)[label], max-subtracted for stability.
-
-    Scalar contract: logits [K] with an int label. Also accepts [N,K] with
-    [N] labels and returns the per-sample loss vector.
-    """
-    if logits.value.ndim == 1:
-        k = logits.value.shape[0]
-        lab = int(label)
-        if not 0 <= lab < k:
-            raise DomainError(f"label {lab} out of range for {k} classes")
-        r = cross_entropy_rows(reshape(logits, (1, k)), np.asarray([lab]))
-        return reshape(r, ())
-    return cross_entropy_rows(logits, label)
 
 
 # ---------------------------------------------------------------------------

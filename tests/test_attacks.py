@@ -7,8 +7,8 @@ from conftest import micro_bank
 from drift import DomainError
 from drift import attacks as attacks_module
 from drift.attacks import (
-    EOT_TAG, AttackSpec, GradientOracle, adaptive_attack, base_margin_score,
-    base_oracle, bpda_gradient, check_budget, ensemble_margin_score,
+    EOT_TAG, AttackSpec, GradientOracle, _margins, _pipeline_loss_grad,
+    adaptive_attack, base_oracle, check_budget, ensemble_margin_score,
     eot_gradient, eot_oracle, filter_oracle, mim, pgd, square_attack,
 )
 from drift.diagnostics import eot_loss_rows
@@ -42,6 +42,12 @@ def test_attack_spec_defaults_and_validation():
         AttackSpec(kind="cw")
     with pytest.raises(DomainError):
         AttackSpec(norm="l1")
+    # specs that would run other than their label says
+    for kwargs, message in (({"eot_samples": -3}, "eot_samples"),
+                            ({"query_budget": -5}, "query_budget"),
+                            ({"bpda_identity": True}, "bpda_identity")):
+        with pytest.raises(DomainError, match=message):
+            AttackSpec(**kwargs)
 
 
 # -- pgd ----------------------------------------------------------------------
@@ -186,10 +192,8 @@ def test_mim_oscillating_gradients_match_hand_simulation():
 
 
 def test_mim_l2_rejected():
-    spec = AttackSpec(kind="mim", norm="l2", epsilon=0.1)
     with pytest.raises(DomainError):
-        mim(linear_oracle(np.ones((1, 2, 2))), np.full((1, 2, 2), 0.5),
-            np.array(0), spec)
+        AttackSpec(kind="mim", norm="l2", epsilon=0.1)
 
 
 # -- real-pipeline attacks ----------------------------------------------------
@@ -395,7 +399,8 @@ def test_eot_oracle_loss_equals_eot_loss_rows(eot_setup):
 def test_bpda_identity_filter_equals_true_gradient(attack_setup):
     model, _, x, y = attack_setup
     bank_id = build_filter_bank("res_block", 2, seed=1)
-    g_bpda = bpda_gradient(bank_id, model, x[:4], y[:4], 0)
+    _, g_bpda = _pipeline_loss_grad(model, bank_id.filters[0], x[:4], y[:4],
+                                    bpda=True)
     t = Tape()
     xv = t.leaf(x[:4])
     z = filter_forward(bank_id.filters[0], xv)
@@ -419,7 +424,7 @@ def test_bpda_constant_shift_filter(attack_setup):
     shift = filter_forward_np(filt, xs) - xs
     assert np.ptp(shift.reshape(4, -1)[:, 1:-1]) < 0.05  # roughly constant
 
-    g_bpda = bpda_gradient(FilterBank([filt]), model, xs, y[:4], 0)
+    _, g_bpda = _pipeline_loss_grad(model, filt, xs, y[:4], bpda=True)
     t = Tape()
     uv = t.leaf(xs + shift)
     logits = base_apply(bind_params(t, model.params), uv)
@@ -430,7 +435,8 @@ def test_bpda_constant_shift_filter(attack_setup):
 def test_bpda_chain_rule_decomposition(attack_setup):
     model, bank, x, y = attack_setup
     xs = x[:4]
-    g_bpda = bpda_gradient(bank, model, xs, y[:4], 1)
+    _, g_bpda = _pipeline_loss_grad(model, bank.filters[1], xs, y[:4],
+                                    bpda=True)
     t = Tape()
     xv = t.leaf(xs)
     z = filter_forward(bank.filters[1], xv)
@@ -443,14 +449,23 @@ def test_bpda_chain_rule_decomposition(attack_setup):
 
 # -- square attack ------------------------------------------------------------
 
+def base_score(model):
+    """The pipeline's margin score on a K=1 identity res_block bank, whose
+    output is bitwise the base model's."""
+    return ensemble_margin_score(build_filter_bank("res_block", 1, seed=0),
+                                 model)
+
+
 def test_square_attack_margin_monotone(attack_setup):
     model, _, x, y = attack_setup
-    score = base_margin_score(model)
-    m0 = score(x[:6], y[:6], None)
+    score = base_score(model)
+    m0 = _margins(model.forward_np(x[:6]), y[:6])
+    assert score(x[:6], y[:6], [[4, s] for s in range(6)]).tobytes() \
+        == m0.tobytes()
     spec = AttackSpec(kind="square", epsilon=8 / 255, steps=1,
                       query_budget=150, seed=4)
     x_adv, success, queries = square_attack(score, x[:6], y[:6], spec)
-    m1 = score(x_adv, y[:6], None)
+    m1 = _margins(model.forward_np(x_adv), y[:6])
     assert np.all(m1 <= m0 + 1e-12)
     assert np.all(np.abs(x_adv - x[:6]) <= spec.epsilon + 1e-12)
     assert x_adv.min() >= 0 and x_adv.max() <= 1
@@ -461,7 +476,7 @@ def test_square_attack_margin_monotone(attack_setup):
 def test_square_attack_misclassified_input_one_query(attack_setup):
     model, _, x, y = attack_setup
     wrong = (y[:4] + 1) % 10
-    score = base_margin_score(model)
+    score = base_score(model)
     spec = AttackSpec(kind="square", epsilon=8 / 255, query_budget=50, seed=1)
     _, success, queries = square_attack(score, x[:4], wrong, spec)
     assert success.all()
@@ -471,7 +486,7 @@ def test_square_attack_misclassified_input_one_query(attack_setup):
 def test_square_attack_zero_budget(attack_setup):
     model, _, x, y = attack_setup
     spec = AttackSpec(kind="square", epsilon=8 / 255, query_budget=0, seed=1)
-    x_adv, success, queries = square_attack(base_margin_score(model),
+    x_adv, success, queries = square_attack(base_score(model),
                                             x[:3], y[:3], spec)
     assert x_adv.tobytes() == x[:3].tobytes()
     assert not success.any() and np.all(queries == 0)
@@ -482,7 +497,7 @@ def test_square_attack_tiny_epsilon_no_success(attack_setup):
     correct = model.forward_np(x[:4]).argmax(axis=1) == y[:4]
     xs, ys = x[:4][correct], y[:4][correct]
     spec = AttackSpec(kind="square", epsilon=1e-9, query_budget=40, seed=2)
-    x_adv, success, _ = square_attack(base_margin_score(model), xs, ys, spec)
+    x_adv, success, _ = square_attack(base_score(model), xs, ys, spec)
     assert not success.any()
     assert np.allclose(x_adv, xs, atol=2e-9)
 
@@ -498,10 +513,8 @@ def test_square_attack_determinism_stochastic_defense(attack_setup):
 
 
 def test_square_rejects_l2():
-    spec = AttackSpec(kind="square", norm="l2", epsilon=0.1)
     with pytest.raises(DomainError):
-        square_attack(lambda x, y, s: np.zeros(1), np.full((1, 2, 2), 0.5),
-                      np.array(0), spec)
+        AttackSpec(kind="square", norm="l2", epsilon=0.1)
 
 
 # -- monotone strength --------------------------------------------------------

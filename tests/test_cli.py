@@ -55,6 +55,15 @@ def test_attack_bpda_flag(trained_run, capsys):
     assert list(trained_run.glob("attack_pgd-*bpda.csv"))
 
 
+def test_attack_bpda_without_eot_exits_2(trained_run, capsys):
+    ckpt = str(trained_run / "checkpoint.dtns")
+    before = set(trained_run.glob("attack_*.csv"))
+    assert main(["attack", "--checkpoint", ckpt, "--attack", "pgd",
+                 "--eps", "0.03", "--steps", "2", "--bpda"]) == 2
+    assert "bpda_identity needs eot_samples >= 1" in capsys.readouterr().err
+    assert set(trained_run.glob("attack_*.csv")) == before
+
+
 def test_square_attack_subcommand(trained_run):
     ckpt = str(trained_run / "checkpoint.dtns")
     assert main(["attack", "--checkpoint", ckpt, "--attack", "square",
@@ -108,6 +117,16 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     ({"bank": {"k": 0}}, "config bank: k"),
     ({"seed": 2 ** 64}, "config seed"),
     ({"attacks": [{"kind": "pgd", "seed": -1}]}, "config attacks[0].seed"),
+    ({"attacks": [{"kind": "pgd", "eot_samples": -3}]},
+     "config attacks[0]: eot_samples"),
+    ({"attacks": [{"kind": "pgd", "bpda_identity": True}]},
+     "config attacks[0]: bpda_identity"),
+    ({"attacks": [{"kind": "square", "norm": "l2"}]},
+     "config attacks[0]: square is defined for the linf norm"),
+    ({"attacks": [{"kind": "mim", "norm": "l2"}]},
+     "config attacks[0]: mim is defined for the linf norm"),
+    ({"attacks": [{"kind": "square", "query_budget": -5}]},
+     "config attacks[0]: query_budget"),
 ])
 def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, change, key):
     cfg_path = tmp_path / "config.json"

@@ -10,9 +10,8 @@ import drift.tape as tape_module
 from drift.attacks import AttackSpec, _pipeline_loss_grad
 from drift.diagnostics import (
     ConsensusReport, consensus, directional_mismatch, eot_loss_rows,
-    gradient_norm_stats, load_landscape_csv, loss_landscape,
-    make_eot_ce_loss, orthonormal_directions, probe_variance_study,
-    transfer_matrix,
+    gradient_norm_stats, loss_landscape, make_eot_ce_loss,
+    orthonormal_directions, probe_variance_study, transfer_matrix,
 )
 from drift.errors import DomainError
 from drift.losses import NORM_GUARD, cos_sq, draw_logit_probes
@@ -354,10 +353,14 @@ def test_landscape_csv_round_trip(tmp_path):
     grid = loss_landscape(fn, x, tau=0.05, grid_n=5, dir_seed=3, eot_k=12)
     path = tmp_path / "landscape.csv"
     grid.save_csv(path)
-    back = load_landscape_csv(path)
-    np.testing.assert_array_equal(back.grid, grid.grid)
-    assert back.tau == grid.tau and back.grid_n == 5
-    assert back.dir_seed == 3 and back.eot_k == 12
+    lines = path.read_text().splitlines()
+    assert lines[0] == "tau,grid_n,dir_seed,eot_k"
+    tau, grid_n, dir_seed, eot_k = lines[1].split(",")
+    back = np.asarray([[float(v) for v in line.split(",")]
+                       for line in lines[2:]])
+    np.testing.assert_array_equal(back, grid.grid)
+    assert float(tau) == grid.tau and int(grid_n) == 5
+    assert int(dir_seed) == 3 and int(eot_k) == 12
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ from conftest import (
     affine_res_filter, delta_kernel, identity_filter, linear_base_model,
     micro_bank, negation_filter, projection_filter,
 )
-from drift import BudgetError, NonFiniteLoss
+from drift import NonFiniteLoss
 from drift.losses import (
-    LossBreakdown, LossWeights, ProbeConfig, adv_component, bind_bank,
-    ce_component, cos_sq, cos_sq_rows, draw_input_probes, draw_logit_probes,
-    js_component, loss_adv, loss_ce, loss_js, loss_lvjp, lvjp_component,
-    total_loss,
+    LossBreakdown, LossWeights, adv_component, bind_bank, ce_component, cos_sq,
+    cos_sq_rows, draw_input_probes, draw_logit_probes, js_component,
+    lvjp_component, total_loss,
 )
 from drift.models import (
     FilterBank, base_apply, bind_params, build_base_model, build_filter_bank,
@@ -25,6 +24,27 @@ from drift.tape import (
 )
 
 RNG = np.random.default_rng(314)
+
+
+def value(component, bank, pre, x, arg, **kw):
+    """Float value of a taped loss component built on a fresh tape, with the
+    bank bound on it; None when the component is skipped. pre holds the
+    arguments between bank and the input Var (the model, or none for js)."""
+    tape = Tape()
+    x_var = tape.leaf(np.asarray(x, dtype=np.float64))
+    out = component(tape, bank, *pre, x_var, arg, bind_bank(tape, bank), **kw)
+    return None if out is None else float(out.value)
+
+
+def js_value(bank, x, p_v, seed):
+    v = draw_input_probes(p_v, np.shape(x)[1:], seed)
+    return value(js_component, bank, (), x, v)
+
+
+def lvjp_value(bank, model, x, p_w, seed, include_identity=True):
+    w = draw_logit_probes(p_w, model.k_classes, seed)
+    return value(lvjp_component, bank, (model,), x, w,
+                 include_identity=include_identity)
 
 
 # -- cos_sq -------------------------------------------------------------------
@@ -69,7 +89,7 @@ def test_cos_sq_rows_matches_scalar():
     assert out.value[3] == 0.0
 
 
-# -- loss_ce ------------------------------------------------------------------
+# -- ce -----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def small_setup():
@@ -83,9 +103,8 @@ def small_setup():
 def test_loss_ce_identity_bank_equals_base_ce(small_setup):
     model, x, y = small_setup
     bank = build_filter_bank("res_block", 3, seed=2)
-    got = loss_ce(bank, model, (x, y))
+    got = value(ce_component, bank, (model,), x, y)
     t = Tape()
-    from drift.tape import cross_entropy_rows, mean_all
     logits = base_apply(bind_params(t, model.params), t.leaf(x))
     want = float(mean_all(cross_entropy_rows(logits, y)).value)
     assert got == pytest.approx(want, rel=1e-12)
@@ -94,46 +113,46 @@ def test_loss_ce_identity_bank_equals_base_ce(small_setup):
 def test_loss_ce_k1_and_duplication(small_setup):
     model, x, y = small_setup
     bank = FilterBank([micro_bank(1, seed=3).filters[0]])
-    v1 = loss_ce(bank, model, (x, y))
+    v1 = value(ce_component, bank, (model,), x, y)
     xdup = np.concatenate([x, x])
     ydup = np.concatenate([y, y])
-    v2 = loss_ce(bank, model, (xdup, ydup))
+    v2 = value(ce_component, bank, (model,), xdup, ydup)
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
-# -- loss_js ------------------------------------------------------------------
+# -- js -----------------------------------------------------------------------
 
 def test_loss_js_identical_filters_is_one():
     f = micro_bank(1, seed=5).filters[0]
     bank = FilterBank([f, f])
     x = RNG.uniform(0, 1, (3, 3, 8, 8))
-    val = loss_js(bank, x, ProbeConfig(p_v=3, seed=1))
+    val = js_value(bank, x, p_v=3, seed=1)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_loss_js_identity_vs_negation_is_one():
     bank = FilterBank([identity_filter(), negation_filter()])
     x = RNG.uniform(0, 1, (2, 3, 6, 6))
-    val = loss_js(bank, x, ProbeConfig(p_v=4, seed=2))
+    val = js_value(bank, x, p_v=4, seed=2)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_loss_js_orthogonal_projections_is_zero():
     bank = FilterBank([projection_filter([0]), projection_filter([1, 2])])
     x = RNG.uniform(0, 1, (2, 3, 6, 6))
-    val = loss_js(bank, x, ProbeConfig(p_v=4, seed=3))
+    val = js_value(bank, x, p_v=4, seed=3)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_js_k1_skipped():
     bank = micro_bank(1, seed=6)
-    assert loss_js(bank, RNG.uniform(0, 1, (2, 3, 6, 6)), ProbeConfig()) is None
+    assert js_value(bank, RNG.uniform(0, 1, (2, 3, 6, 6)), p_v=5, seed=0) is None
 
 
 def test_loss_js_in_unit_interval():
     bank = micro_bank(3, seed=7, jitter=0.3)
     x = RNG.uniform(0, 1, (4, 3, 6, 6))
-    val = loss_js(bank, x, ProbeConfig(p_v=5, seed=4))
+    val = js_value(bank, x, p_v=5, seed=4)
     assert 0.0 <= val <= 1.0
 
 
@@ -144,25 +163,26 @@ def test_loss_js_probe_variance_slope():
     ps = [2, 5, 10, 20, 40]
     variances = []
     for p in ps:
-        vals = [loss_js(bank, x, ProbeConfig(p_v=p, seed=s)) for s in range(220)]
+        vals = [js_value(bank, x, p_v=p, seed=s) for s in range(220)]
         variances.append(np.var(vals))
     slope = np.polyfit(np.log(ps), np.log(variances), 1)[0]
     assert -1.3 <= slope <= -0.7
 
 
-# -- loss_lvjp ----------------------------------------------------------------
+# -- lvjp ---------------------------------------------------------------------
 
 def test_loss_lvjp_identity_bank_is_one(small_setup):
     model, x, _ = small_setup
     bank = build_filter_bank("res_block", 3, seed=9)
-    val = loss_lvjp(bank, model, x, ProbeConfig(p_w=3, seed=5), include_identity=True)
+    val = lvjp_value(bank, model, x, p_w=3, seed=5, include_identity=True)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_loss_lvjp_k1_without_identity_skipped(small_setup):
     model, x, _ = small_setup
     bank = micro_bank(1, seed=10)
-    assert loss_lvjp(bank, model, x, ProbeConfig(), include_identity=False) is None
+    assert lvjp_value(bank, model, x, p_w=5, seed=0,
+                      include_identity=False) is None
 
 
 def test_loss_lvjp_rotation_oracle():
@@ -175,8 +195,7 @@ def test_loss_lvjp_rotation_oracle():
     bank = FilterBank([identity_filter(c=1), affine_res_filter(rot)])
     x = np.array([[[[0.3, 0.6]]]])
 
-    probes = ProbeConfig(p_w=25, seed=11)
-    got = loss_lvjp(bank, model, x, probes, include_identity=False)
+    got = lvjp_value(bank, model, x, p_w=25, seed=11, include_identity=False)
     w = draw_logit_probes(25, 2, 11)
     r_mat = np.array([[0.0, -1.0], [1.0, 0.0]])
     want = np.mean([cos_sq(wi, r_mat.T @ wi) for wi in w])
@@ -186,38 +205,29 @@ def test_loss_lvjp_rotation_oracle():
 def test_loss_lvjp_unit_interval(small_setup):
     model, x, _ = small_setup
     bank = micro_bank(3, seed=12, jitter=0.2)
-    val = loss_lvjp(bank, model, x, ProbeConfig(p_w=4, seed=6))
+    val = lvjp_value(bank, model, x, p_w=4, seed=6)
     assert 0.0 <= val <= 1.0
 
 
-# -- loss_adv -----------------------------------------------------------------
+# -- adv ----------------------------------------------------------------------
 
 def test_loss_adv_zero_delta_identity_bank(small_setup):
     model, x, y = small_setup
     bank = build_filter_bank("res_block", 3, seed=13)
-    got = loss_adv(bank, model, (x, y), np.zeros_like(x), eps=4 / 255)
-    want = loss_ce(bank, model, (x, y))
+    got = value(adv_component, bank, (model,), x, y)
+    want = value(ce_component, bank, (model,), x, y)
     assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_loss_adv_budget_violation(small_setup):
-    model, x, y = small_setup
-    delta = np.zeros_like(x)
-    delta[0, 0, 0, 0] = 0.1
-    with pytest.raises(BudgetError):
-        loss_adv(bank=build_filter_bank("res_block", 2, seed=0), model=model,
-                 batch=(x, y), delta_M=delta, eps=4 / 255)
 
 
 def test_loss_adv_max_dominance(small_setup):
     model, x, y = small_setup
     bank = micro_bank(3, seed=14, jitter=0.3)
     eps = 8 / 255
-    delta = RNG.uniform(-eps, eps, x.shape)
-    val = loss_adv(bank, model, (x, y), delta, eps=eps)
+    xadv = np.clip(x + RNG.uniform(-eps, eps, x.shape), 0.0, 1.0)
+    val = value(adv_component, bank, (model,), xadv, y)
     for i in range(bank.k):
         single = FilterBank([bank.filters[i]])
-        assert val >= loss_adv(single, model, (x, y), delta, eps=eps) - 1e-12
+        assert val >= value(adv_component, single, (model,), xadv, y) - 1e-12
 
 
 # -- total_loss ---------------------------------------------------------------

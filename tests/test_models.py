@@ -5,6 +5,7 @@ import pytest
 
 from drift import DomainError
 from drift.data import generate_synthetic_dataset
+from drift.harness import stochastic_predict
 from drift.models import (
     FilterArch, bind_params, build_base_model, build_filter_bank,
     base_apply, ensemble_forward, filter_forward, filter_forward_np,
@@ -243,15 +244,10 @@ def test_index_mode_and_bad_index(desk):
         out, model.forward_np(filter_forward_np(bank.filters[2], x)))
     with pytest.raises(DomainError):
         ensemble_forward(bank, model, x, ("index", 4))
-
-
-def test_sample_mode_reproducible(desk):
-    model, _, eval_ = desk
-    bank = build_filter_bank("res_block", 4, seed=0)
-    xb = eval_.x[:8]
-    a = ensemble_forward(bank, model, xb, ("sample", 123))
-    b = ensemble_forward(bank, model, xb, ("sample", 123))
-    assert a.tobytes() == b.tobytes()
+    # stochastic inference is harness.stochastic_predict
+    for mode in (("sample", 123), "sample", ("index",)):
+        with pytest.raises(DomainError, match="unknown ensemble_forward mode"):
+            ensemble_forward(bank, model, x, mode)
 
 
 def test_sample_mode_k1_always_filter_zero():
@@ -268,7 +264,7 @@ def test_identity_init_ensemble_matches_base_accuracy(desk):
     model, _, eval_ = desk
     bank = build_filter_bank("res_block", 4, seed=0)
     base_pred = model.forward_np(eval_.x).argmax(axis=1)
-    ens = ensemble_forward(bank, model, eval_.x, ("sample", 7)).argmax(axis=1)
+    ens, _ = stochastic_predict(bank, model, eval_.x, eval_.ids, seed=7)
     assert np.array_equal(base_pred, ens)
 
 

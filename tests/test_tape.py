@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from drift import ShapeError, TapeError
 from drift.tape import (
     Tape, add, conv2d, cross_entropy_rows, dense, dot, dot_rows, div, grad,
-    matmul, maximum, mul, relu, reshape, rows_scale, scale, softmax_cross_entropy,
-    sqrt, sub, sum_all, vjp,
+    matmul, maximum, mul, relu, reshape, rows_scale, scale, sqrt, sub,
+    sum_all, vjp,
 )
 
 
@@ -238,11 +238,17 @@ def test_conv2d_channel_mismatch_raises():
 
 # -- softmax cross-entropy ---------------------------------------------------
 
+def xent(zv, label):
+    """Scalar CE of one logit vector [K], through cross_entropy_rows on [1, K]."""
+    return sum_all(cross_entropy_rows(reshape(zv, (1, zv.value.shape[0])),
+                                      [label]))
+
+
 def test_xent_backward_is_softmax_minus_onehot():
     z0 = RNG.standard_normal(6)
     t = Tape()
     zv = t.leaf(z0)
-    loss = softmax_cross_entropy(zv, 2)
+    loss = xent(zv, 2)
     (g,) = grad(t, loss, [zv])
     p = np.exp(z0 - z0.max())
     p /= p.sum()
@@ -253,7 +259,7 @@ def test_xent_backward_is_softmax_minus_onehot():
 def test_xent_stable_at_large_logits():
     t = Tape()
     z = t.leaf(np.array([1000.0, 0.0, -1000.0]))
-    loss = softmax_cross_entropy(z, 0)
+    loss = xent(z, 0)
     assert np.isfinite(loss.value)
     assert float(loss.value) < 1e-8
 
@@ -262,10 +268,10 @@ def test_xent_batched_matches_scalar():
     z0 = RNG.standard_normal((5, 4))
     labels = np.array([0, 3, 1, 2, 2])
     t = Tape()
-    out = softmax_cross_entropy(t.leaf(z0), labels)
+    out = cross_entropy_rows(t.leaf(z0), labels)
     for n in range(5):
         t2 = Tape()
-        s = softmax_cross_entropy(t2.leaf(z0[n]), int(labels[n]))
+        s = xent(t2.leaf(z0[n]), int(labels[n]))
         np.testing.assert_allclose(out.value[n], s.value, rtol=1e-12)
 
 
@@ -277,7 +283,7 @@ def test_xent_second_order_fd():
     def gnorm2(z):
         t = Tape()
         zv = t.leaf(z)
-        loss = softmax_cross_entropy(zv, 1)
+        loss = xent(zv, 1)
         (g,) = grad(t, loss, [zv])
         return t, zv, dot(g, g)
 
@@ -419,7 +425,7 @@ def test_tape_replay_bitwise():
     y = conv2d(x, k, b, padding=1)
     h = reshape(relu(y), (48,))
     logits = dense(h, t.leaf(RNG.standard_normal((5, 48))), t.leaf(RNG.standard_normal(5)))
-    out = softmax_cross_entropy(logits, 2)
+    out = xent(logits, 2)
     grad(t, out, [x, k, b])  # extend the tape with backward nodes too
     assert t.replay()
 
