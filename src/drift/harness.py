@@ -163,13 +163,15 @@ def config_from_dict(d):
     if not isinstance(d, dict):
         raise DomainError("config must be a JSON object")
     seed = int(os.environ.get("DRIFT_SEED", d.get("seed", 0)))
+    attacks = [_section(AttackSpec, a, f"attacks[{j}]", seed=seed)
+               for j, a in enumerate(d.get("attacks", []))]
+    _check_unique_labels(attacks)
     return _section(ExperimentConfig, dict(
         d, seed=seed, inference_seed=int(d.get("inference_seed", seed)),
         dataset=_section(DatasetSpec, d.get("dataset", {}), "dataset", seed=seed),
         train=_section(TrainConfig, d.get("train", {}), "train", seed=seed,
                        probes=ProbeConfig(seed=seed)),
-        attacks=[_section(AttackSpec, a, f"attacks[{j}]", seed=seed)
-                 for j, a in enumerate(d.get("attacks", []))]), "")
+        attacks=attacks), "")
 
 
 def load_config(path):
@@ -257,6 +259,15 @@ def attack_label(spec):
     return label
 
 
+def _check_unique_labels(attack_specs):
+    """Results are filed per label, so a shared label would drop all but one."""
+    labels = [attack_label(spec) for spec in attack_specs]
+    for j, label in enumerate(labels):
+        i = labels.index(label)
+        if i < j:
+            raise DomainError(f"config attacks[{i}] and attacks[{j}] share the label {label}")
+
+
 def stochastic_predict(bank, model, x, sample_ids, seed, step=0):
     """One fresh filter draw per sample; returns (predictions, margins)."""
     counts = draw_counts(bank.k, [[[seed, INFERENCE_TAG, int(s), step]]
@@ -288,8 +299,9 @@ def evaluate_robust_accuracy(bank, model, eval_set, attack_specs,
 
     The no-attack entry "none" always equals clean accuracy. Per-sample
     rows (id, kind, budget, success, queries, final margin) go to csv_path
-    when given.
+    when given. Attacks that share a label raise DomainError.
     """
+    _check_unique_labels(attack_specs)
     x, y, ids = as_xy(eval_set)
 
     preds, _ = stochastic_predict(bank, model, x, ids, inference_seed)

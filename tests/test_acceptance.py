@@ -8,7 +8,6 @@ transferability structure, attack contracts, obfuscation forensics,
 clean-accuracy preservation, and the engineering envelope.
 """
 
-import json
 import time
 
 import numpy as np
@@ -29,11 +28,8 @@ from drift.harness import (
     config_from_dict, default_config, evaluate_robust_accuracy,
     measure_overhead, rerun_from_manifest, run_experiment, stochastic_predict,
 )
-from drift.losses import LossWeights, ProbeConfig
-from drift.models import (
-    FilterBank, build_base_model, build_filter_bank, ensemble_forward,
-    pretrain_and_freeze,
-)
+from drift.losses import LossWeights
+from drift.models import FilterBank, build_filter_bank
 from drift.tape import (
     Tape, conv2d, cross_entropy_rows, dense, grad, relu, reshape, sum_all,
 )

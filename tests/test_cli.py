@@ -127,6 +127,8 @@ def test_errors_exit_nonzero(tmp_path, capsys):
      "config attacks[0]: mim is defined for the linf norm"),
     ({"attacks": [{"kind": "square", "query_budget": -5}]},
      "config attacks[0]: query_budget"),
+    ({"attacks": [{"kind": "pgd", "steps": 10}, {"kind": "pgd", "steps": 40}]},
+     "config attacks[0] and attacks[1] share the label"),
 ])
 def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, change, key):
     cfg_path = tmp_path / "config.json"

@@ -7,7 +7,7 @@ from drift.attacks import AttackSpec
 from drift.data import generate_synthetic_dataset
 from drift.errors import DomainError, StageError
 from drift.harness import (
-    ATTACK_CSV_FIELDS, DatasetSpec, ExperimentConfig, INFERENCE_TAG,
+    ATTACK_CSV_FIELDS, DatasetSpec, INFERENCE_TAG,
     MetricsRecord, attack_label, config_from_dict, default_config,
     evaluate_robust_accuracy, load_config, measure_overhead,
     rerun_from_manifest, run_experiment, stochastic_predict,
@@ -147,6 +147,20 @@ def test_default_config_is_complete():
     assert any(a.eot_samples >= 1 for a in config.attacks)
 
 
+def test_config_rejects_attacks_sharing_a_label():
+    # steps, crn and seed are not in the label, so these pairs would overwrite
+    # each other's robust_accuracy entry
+    with pytest.raises(DomainError, match=r"config attacks\[0\] and attacks\[1\] "
+                                          r"share the label pgd-linf-eps0.0156863$"):
+        config_from_dict({"attacks": [{"kind": "pgd", "steps": 10},
+                                      {"kind": "pgd", "steps": 40}]})
+    with pytest.raises(DomainError, match=r"attacks\[1\] and attacks\[2\] share "
+                                          r"the label pgd-linf-eps0.0156863-eot5$"):
+        config_from_dict({"attacks": [{"kind": "mim"},
+                                      {"kind": "pgd", "eot_samples": 5, "crn": False},
+                                      {"kind": "pgd", "eot_samples": 5}]})
+
+
 def test_attack_labels_distinguish_budgets():
     a = AttackSpec(kind="pgd", epsilon=8 / 255, steps=40)
     b = AttackSpec(kind="pgd", epsilon=8 / 255, steps=40, eot_samples=5)
@@ -206,6 +220,16 @@ def test_none_entry_equals_clean(tiny_setup):
     bank, model, ev = tiny_setup
     rec = evaluate_robust_accuracy(bank, model, ev, [], inference_seed=1)
     assert rec.robust_accuracy["none"] == rec.clean_accuracy
+
+
+def test_evaluation_rejects_attacks_sharing_a_label(tiny_setup, tmp_path):
+    bank, model, ev = tiny_setup
+    specs = [AttackSpec(kind="pgd", epsilon=4 / 255, steps=s) for s in (1, 2)]
+    path = tmp_path / "a.csv"
+    with pytest.raises(DomainError, match=r"attacks\[0\] and attacks\[1\] share"):
+        evaluate_robust_accuracy(bank, model, ev, specs, inference_seed=1,
+                                 csv_path=path)
+    assert not path.exists()
 
 
 def test_evaluation_csv_format_and_determinism(tiny_setup, tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    affine_res_filter, delta_kernel, identity_filter, linear_base_model,
-    micro_bank, negation_filter, projection_filter,
+    affine_res_filter, identity_filter, linear_base_model, micro_bank,
+    negation_filter, projection_filter,
 )
 from drift import NonFiniteLoss
 from drift.losses import (
@@ -17,7 +17,7 @@ from drift.losses import (
 )
 from drift.models import (
     FilterBank, base_apply, bind_params, build_base_model, build_filter_bank,
-    filter_apply, init_filter_identity,
+    filter_apply,
 )
 from drift.tape import (
     Tape, add, cross_entropy_rows, grad, maximum, mean_all, scale, vjp,

@@ -9,8 +9,8 @@ from drift.harness import stochastic_predict
 from drift.models import (
     FilterArch, bind_params, build_base_model, build_filter_bank,
     base_apply, ensemble_forward, filter_forward, filter_forward_np,
-    filter_param_count, init_filter_identity, param_checksum,
-    pretrain_and_freeze, sample_filter_index,
+    filter_param_count, init_filter_identity, pretrain_and_freeze,
+    sample_filter_index,
 )
 from drift.rng import rng_from
 from drift.tape import Tape, cross_entropy_rows, grad, mean_all, vjp

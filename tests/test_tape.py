@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from drift import ShapeError, TapeError
 from drift.tape import (
-    Tape, add, conv2d, cross_entropy_rows, dense, dot, dot_rows, div, grad,
-    matmul, maximum, mul, relu, reshape, rows_scale, scale, sqrt, sub,
+    _FORWARD, Tape, add, conv2d, cross_entropy_rows, dense, dot, dot_rows, div,
+    grad, matmul, maximum, mul, relu, reshape, rows_scale, scale, sqrt,
     sum_all, vjp,
 )
 
@@ -234,6 +234,86 @@ def test_conv2d_channel_mismatch_raises():
     with pytest.raises(ShapeError):
         conv2d(t.leaf(np.zeros((2, 4, 4))), t.leaf(np.zeros((3, 5, 3, 3))),
                t.leaf(np.zeros(3)), padding=1)
+
+
+def _slab_pad_nhwc(x, pad):
+    n, c, h, w = x.shape
+    if not pad:
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    out[:, pad:pad + h, pad:pad + w, :] = x.transpose(0, 2, 3, 1)
+    return out
+
+
+def _slab_conv2d(vals, pad):
+    """Reference: the im2col-by-slabs forward kernel the window view replaced."""
+    x, k = vals
+    o, c, kh, kw = k.shape
+    xn = _slab_pad_nhwc(x, pad)
+    n, hp, wp, _ = xn.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    dt = np.result_type(x, k)
+    col = np.empty((n, ho, wo, kh, kw, c), dtype=dt)
+    for i in range(kh):
+        for j in range(kw):
+            col[:, :, :, i, j, :] = xn[:, i:i + ho, j:j + wo, :]
+    k2 = np.ascontiguousarray(k.transpose(2, 3, 1, 0), dtype=dt)
+    out = col.reshape(n * ho * wo, kh * kw * c) @ k2.reshape(kh * kw * c, o)
+    return np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+
+
+def _slab_conv2d_kgrad(vals, pad):
+    """Reference: the im2col-by-slabs kernel-gradient kernel."""
+    x, gy = vals
+    kh = x.shape[2] + 2 * pad - gy.shape[2] + 1
+    kw = x.shape[3] + 2 * pad - gy.shape[3] + 1
+    xn = _slab_pad_nhwc(x, pad)
+    c = xn.shape[3]
+    n, o, ho, wo = gy.shape
+    dt = np.result_type(x, gy)
+    col = np.empty((n, ho, wo, kh, kw, c), dtype=dt)
+    for i in range(kh):
+        for j in range(kw):
+            col[:, :, :, i, j, :] = xn[:, i:i + ho, j:j + wo, :]
+    g2 = np.ascontiguousarray(gy.transpose(0, 2, 3, 1), dtype=dt)
+    dk = col.reshape(n * ho * wo, kh * kw * c).T @ g2.reshape(n * ho * wo, o)
+    return np.ascontiguousarray(dk.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
+
+
+@pytest.mark.parametrize("ksize, pad", [(k, p) for k in (1, 3, 5) for p in (0, 1, 2)])
+def test_conv_kernels_bitwise_equal_slab_reference(ksize, pad):
+    # H != W throughout; the transposed view checks strides other than C order,
+    # and C = 1 with pad = 0 is where the NHWC input can be a view of x itself,
+    # so the input must also come back unchanged.
+    rng = np.random.default_rng(ksize * 10 + pad)
+    for n in (1, 3):
+        for c in (1, 3, 16):
+            for o in (1, 3, 32):
+                x = rng.standard_normal((n, c, 7, 5))
+                x_t = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+                k = rng.standard_normal((o, c, ksize, ksize))
+                for xin in (x, x_t):
+                    ref = _slab_conv2d([xin, k], pad)
+                    y = _FORWARD["conv2d"]([xin, k], pad)
+                    assert y.flags.c_contiguous and y.dtype == ref.dtype
+                    assert np.array_equal(y, ref), (n, c, o)
+                    gy = rng.standard_normal(y.shape)
+                    ref = _slab_conv2d_kgrad([xin, gy], pad)
+                    dk = _FORWARD["conv2d_kgrad"]([xin, gy], pad)
+                    assert dk.flags.c_contiguous and dk.shape == k.shape
+                    assert np.array_equal(dk, ref), (n, c, o)
+                    assert np.array_equal(xin, x), (n, c, o)
+
+
+def test_conv_kernels_bitwise_equal_slab_reference_mixed_dtype():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 3, 6, 9)).astype(np.float32)
+    k = rng.standard_normal((16, 3, 3, 3))
+    y = _FORWARD["conv2d"]([x, k], 1)
+    assert y.dtype == np.float64 and np.array_equal(y, _slab_conv2d([x, k], 1))
+    gy = rng.standard_normal(y.shape)
+    assert np.array_equal(_FORWARD["conv2d_kgrad"]([x, gy], 1),
+                          _slab_conv2d_kgrad([x, gy], 1))
 
 
 # -- softmax cross-entropy ---------------------------------------------------
