@@ -3,7 +3,9 @@
 Values are plain numpy arrays (row-major, float32 or float64). A Tape records
 every primitive application as a node holding the operator id, parent node
 indices, the forward value, and whatever the backward rule needs. `vjp` pulls
-a cotangent back to any set of recorded leaves.
+a cotangent back to any set of recorded leaves, and builds only the
+contributions to parents that depend on `wrt`: no kernel gradient for a frozen
+weight, no input gradient for a constant input.
 
 Backward rules are themselves built from recorded primitives, so the result
 of a vjp call is an ordinary node and can be differentiated again. That is
@@ -458,185 +460,182 @@ def cross_entropy_rows(logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# Backward rules. Each returns [(parent_index, contribution Var), ...] and
-# builds its contributions out of recorded primitives so second-order
-# differentiation works.
+# Backward rules. Each gets `need`, one flag per parent (does it depend on
+# wrt?), and returns [(parent_index, contribution Var), ...] for the needed
+# parents only, in parent order. Contributions are built out of recorded
+# primitives so second-order differentiation works.
 # ---------------------------------------------------------------------------
 
 def _pvar(tape, node, i):
     return Var(tape, node.parents[i])
 
 
-def _bwd_add(tape, node, ni, g):
-    return [(node.parents[0], g), (node.parents[1], g)]
+def _pick(node, need, *makers):
+    """Pair each needed parent with its contribution, calling only its maker."""
+    return [(p, make()) for p, n, make in zip(node.parents, need, makers) if n]
 
 
-def _bwd_sub(tape, node, ni, g):
-    return [(node.parents[0], g), (node.parents[1], neg(g))]
+def _bwd_add(tape, node, ni, g, need):
+    return _pick(node, need, lambda: g, lambda: g)
 
 
-def _bwd_mul(tape, node, ni, g):
+def _bwd_sub(tape, node, ni, g, need):
+    return _pick(node, need, lambda: g, lambda: neg(g))
+
+
+def _bwd_mul(tape, node, ni, g, need):
     a, b = _pvar(tape, node, 0), _pvar(tape, node, 1)
-    return [(node.parents[0], mul(g, b)), (node.parents[1], mul(g, a))]
+    return _pick(node, need, lambda: mul(g, b), lambda: mul(g, a))
 
 
-def _bwd_div(tape, node, ni, g):
-    b = _pvar(tape, node, 1)
-    out = Var(tape, ni)
-    da = div(g, b)
-    db = neg(mul(g, div(out, b)))
-    return [(node.parents[0], da), (node.parents[1], db)]
+def _bwd_div(tape, node, ni, g, need):
+    b, out = _pvar(tape, node, 1), Var(tape, ni)
+    return _pick(node, need, lambda: div(g, b), lambda: neg(mul(g, div(out, b))))
 
 
-def _bwd_neg(tape, node, ni, g):
-    return [(node.parents[0], neg(g))]
+def _bwd_neg(tape, node, ni, g, need):
+    return _pick(node, need, lambda: neg(g))
 
 
-def _bwd_scale(tape, node, ni, g):
-    return [(node.parents[0], scale(g, node.ctx))]
+def _bwd_scale(tape, node, ni, g, need):
+    return _pick(node, need, lambda: scale(g, node.ctx))
 
 
-def _bwd_add_const(tape, node, ni, g):
-    return [(node.parents[0], g)]
+def _bwd_add_const(tape, node, ni, g, need):
+    return _pick(node, need, lambda: g)
 
 
-def _bwd_relu(tape, node, ni, g):
+def _bwd_relu(tape, node, ni, g, need):
     x = tape.nodes[node.parents[0]].value
-    mask = tape.leaf((x > 0).astype(x.dtype))
-    return [(node.parents[0], mul(g, mask))]
+    return _pick(node, need, lambda: mul(g, tape.leaf((x > 0).astype(x.dtype))))
 
 
-def _bwd_maximum(tape, node, ni, g):
+def _bwd_maximum(tape, node, ni, g, need):
     a = tape.nodes[node.parents[0]].value
     b = tape.nodes[node.parents[1]].value
     take_a = (a >= b).astype(a.dtype)
-    ma = tape.leaf(take_a)
-    mb = tape.leaf(1.0 - take_a)
-    return [(node.parents[0], mul(g, ma)), (node.parents[1], mul(g, mb))]
+    return _pick(node, need, lambda: mul(g, tape.leaf(take_a)),
+                 lambda: mul(g, tape.leaf(1.0 - take_a)))
 
 
-def _bwd_sum_all(tape, node, ni, g):
+def _bwd_sum_all(tape, node, ni, g, need):
     shp = tape.nodes[node.parents[0]].value.shape
-    return [(node.parents[0], tape._record("bcast_full", (g,), shp))]
+    return _pick(node, need, lambda: tape._record("bcast_full", (g,), shp))
 
 
-def _bwd_bcast_full(tape, node, ni, g):
-    return [(node.parents[0], sum_all(g))]
+def _bwd_bcast_full(tape, node, ni, g, need):
+    return _pick(node, need, lambda: sum_all(g))
 
 
-def _bwd_dot(tape, node, ni, g):
+def _bwd_dot(tape, node, ni, g, need):
     a, b = _pvar(tape, node, 0), _pvar(tape, node, 1)
-    return [(node.parents[0], _smul(g, b)), (node.parents[1], _smul(g, a))]
+    return _pick(node, need, lambda: _smul(g, b), lambda: _smul(g, a))
 
 
-def _bwd_smul(tape, node, ni, g):
+def _bwd_smul(tape, node, ni, g, need):
     s, t = _pvar(tape, node, 0), _pvar(tape, node, 1)
-    return [(node.parents[0], dot(g, t)), (node.parents[1], _smul(s, g))]
+    return _pick(node, need, lambda: dot(g, t), lambda: _smul(s, g))
 
 
-def _bwd_sqrt(tape, node, ni, g):
+def _bwd_sqrt(tape, node, ni, g, need):
     out = Var(tape, ni)
-    return [(node.parents[0], scale(div(g, out), 0.5))]
+    return _pick(node, need, lambda: scale(div(g, out), 0.5))
 
 
-def _bwd_reshape(tape, node, ni, g):
+def _bwd_reshape(tape, node, ni, g, need):
     orig = tape.nodes[node.parents[0]].value.shape
-    return [(node.parents[0], reshape(g, orig))]
+    return _pick(node, need, lambda: reshape(g, orig))
 
 
-def _bwd_transpose2d(tape, node, ni, g):
-    return [(node.parents[0], transpose2d(g))]
+def _bwd_transpose2d(tape, node, ni, g, need):
+    return _pick(node, need, lambda: transpose2d(g))
 
 
-def _bwd_matmul(tape, node, ni, g):
+def _bwd_matmul(tape, node, ni, g, need):
     a, b = _pvar(tape, node, 0), _pvar(tape, node, 1)
-    return [
-        (node.parents[0], matmul(g, transpose2d(b))),
-        (node.parents[1], matmul(transpose2d(a), g)),
-    ]
+    return _pick(node, need, lambda: matmul(g, transpose2d(b)),
+                 lambda: matmul(transpose2d(a), g))
 
 
-def _bwd_bcast_rows(tape, node, ni, g):
-    return [(node.parents[0], _sum_axis0(g))]
+def _bwd_bcast_rows(tape, node, ni, g, need):
+    return _pick(node, need, lambda: _sum_axis0(g))
 
 
-def _bwd_sum_axis0(tape, node, ni, g):
+def _bwd_sum_axis0(tape, node, ni, g, need):
     n = tape.nodes[node.parents[0]].value.shape[0]
-    return [(node.parents[0], _bcast_rows(g, n))]
+    return _pick(node, need, lambda: _bcast_rows(g, n))
 
 
-def _bwd_expand_cols(tape, node, ni, g):
-    return [(node.parents[0], _sum_axis1(g))]
+def _bwd_expand_cols(tape, node, ni, g, need):
+    return _pick(node, need, lambda: _sum_axis1(g))
 
 
-def _bwd_sum_axis1(tape, node, ni, g):
+def _bwd_sum_axis1(tape, node, ni, g, need):
     k = tape.nodes[node.parents[0]].value.shape[1]
-    return [(node.parents[0], _expand_cols(g, k))]
+    return _pick(node, need, lambda: _expand_cols(g, k))
 
 
-def _bwd_rows_scale(tape, node, ni, g):
+def _bwd_rows_scale(tape, node, ni, g, need):
     a, v = _pvar(tape, node, 0), _pvar(tape, node, 1)
-    return [(node.parents[0], rows_scale(g, v)), (node.parents[1], dot_rows(g, a))]
+    return _pick(node, need, lambda: rows_scale(g, v), lambda: dot_rows(g, a))
 
 
-def _bwd_dot_rows(tape, node, ni, g):
+def _bwd_dot_rows(tape, node, ni, g, need):
     a, b = _pvar(tape, node, 0), _pvar(tape, node, 1)
-    return [(node.parents[0], rows_scale(b, g)), (node.parents[1], rows_scale(a, g))]
+    return _pick(node, need, lambda: rows_scale(b, g), lambda: rows_scale(a, g))
 
 
-def _bwd_conv2d(tape, node, ni, g):
+def _bwd_conv2d(tape, node, ni, g, need):
     x, k = _pvar(tape, node, 0), _pvar(tape, node, 1)
     pad = node.ctx
     kh = k.value.shape[2]
-    dx = _conv2d_raw(g, _swap_flip(k), kh - 1 - pad)
-    dk = _conv2d_kgrad(x, g, pad)
-    return [(node.parents[0], dx), (node.parents[1], dk)]
+    return _pick(node, need, lambda: _conv2d_raw(g, _swap_flip(k), kh - 1 - pad),
+                 lambda: _conv2d_kgrad(x, g, pad))
 
 
-def _bwd_conv2d_kgrad(tape, node, ni, g):
+def _bwd_conv2d_kgrad(tape, node, ni, g, need):
     # forward was dk = kgrad(x, gy); cotangent g has kernel shape
     x, gy = _pvar(tape, node, 0), _pvar(tape, node, 1)
     pad = node.ctx
     kh = g.value.shape[2]
-    dx = _conv2d_raw(gy, _swap_flip(g), kh - 1 - pad)
-    dgy = _conv2d_raw(x, g, pad)
-    return [(node.parents[0], dx), (node.parents[1], dgy)]
+    return _pick(node, need, lambda: _conv2d_raw(gy, _swap_flip(g), kh - 1 - pad),
+                 lambda: _conv2d_raw(x, g, pad))
 
 
-def _bwd_swap_flip(tape, node, ni, g):
-    return [(node.parents[0], _swap_flip(g))]
+def _bwd_swap_flip(tape, node, ni, g, need):
+    return _pick(node, need, lambda: _swap_flip(g))
 
 
-def _bwd_conv_bias(tape, node, ni, g):
-    return [(node.parents[0], _sum_nhw(g))]
+def _bwd_conv_bias(tape, node, ni, g, need):
+    return _pick(node, need, lambda: _sum_nhw(g))
 
 
-def _bwd_sum_nhw(tape, node, ni, g):
+def _bwd_sum_nhw(tape, node, ni, g, need):
     n, _, h, w = tape.nodes[node.parents[0]].value.shape
-    return [(node.parents[0], _conv_bias(g, n, h, w))]
+    return _pick(node, need, lambda: _conv_bias(g, n, h, w))
 
 
-def _bwd_logsumexp_rows(tape, node, ni, g):
+def _bwd_logsumexp_rows(tape, node, ni, g, need):
     z = _pvar(tape, node, 0)
-    s = softmax_rows(z)
-    return [(node.parents[0], mul(s, _expand_cols(g, z.value.shape[1])))]
+    return _pick(node, need,
+                 lambda: mul(softmax_rows(z), _expand_cols(g, z.value.shape[1])))
 
 
-def _bwd_softmax_rows(tape, node, ni, g):
+def _bwd_softmax_rows(tape, node, ni, g, need):
     out = Var(tape, ni)
     k = out.value.shape[1]
-    inner = _sum_axis1(mul(g, out))
-    return [(node.parents[0], mul(out, sub(g, _expand_cols(inner, k))))]
+    return _pick(node, need,
+                 lambda: mul(out, sub(g, _expand_cols(_sum_axis1(mul(g, out)), k))))
 
 
-def _bwd_pick_rows(tape, node, ni, g):
+def _bwd_pick_rows(tape, node, ni, g, need):
     k = tape.nodes[node.parents[0]].value.shape[1]
-    return [(node.parents[0], _scatter_rows(g, node.ctx, k))]
+    return _pick(node, need, lambda: _scatter_rows(g, node.ctx, k))
 
 
-def _bwd_scatter_rows(tape, node, ni, g):
+def _bwd_scatter_rows(tape, node, ni, g, need):
     idx, _ = node.ctx
-    return [(node.parents[0], pick_rows(g, idx))]
+    return _pick(node, need, lambda: pick_rows(g, idx))
 
 
 _BACKWARD = {
@@ -717,9 +716,8 @@ def vjp(tape, output, cotangent, wrt):
         if node.op == "leaf":
             adjoint[i] = g  # keep leaf adjoints for collection
             continue
-        for pi, contrib in _BACKWARD[node.op](tape, node, i, g):
-            if not needed[pi]:
-                continue
+        need = [needed[p] for p in node.parents]
+        for pi, contrib in _BACKWARD[node.op](tape, node, i, g, need):
             prev = adjoint.get(pi)
             adjoint[pi] = contrib if prev is None else add(prev, contrib)
 

@@ -1,15 +1,21 @@
 """Autodiff core: finite-difference oracles, closed forms, vjp contract."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import micro_bank
 from drift import ShapeError, TapeError
+from drift.attacks import _pipeline_loss_grad
+from drift.losses import bind_bank, ce_component, draw_logit_probes, lvjp_component
+from drift.models import build_base_model, pretrain_and_freeze
 from drift.tape import (
-    _FORWARD, Tape, add, conv2d, cross_entropy_rows, dense, dot, dot_rows, div,
-    grad, matmul, maximum, mul, relu, reshape, rows_scale, scale, sqrt,
-    sum_all, vjp,
+    _BACKWARD, _FORWARD, Tape, add, conv2d, cross_entropy_rows, dense, dot,
+    dot_rows, div, grad, matmul, maximum, mul, relu, reshape, rows_scale,
+    scale, sqrt, sum_all, vjp,
 )
 
 
@@ -515,3 +521,159 @@ def test_float32_is_preserved():
     x = t.leaf(np.ones((2, 2), dtype=np.float32))
     y = mul(x, x)
     assert y.value.dtype == np.float32
+
+
+# -- vjp builds only the contributions to parents that depend on wrt ---------
+
+# op -> (parent shapes, ctx), one application per backward rule; parent
+# values are drawn positive, which keeps div and sqrt finite
+_RULE_CASES = {
+    "add": (((3, 4), (3, 4)), None), "sub": (((3, 4), (3, 4)), None),
+    "mul": (((3, 4), (3, 4)), None), "div": (((3, 4), (3, 4)), None),
+    "maximum": (((3, 4), (3, 4)), None), "neg": (((3, 4),), None),
+    "scale": (((3, 4),), 1.5), "add_const": (((3, 4),), 0.5),
+    "relu": (((3, 4),), None), "sqrt": (((3, 4),), None),
+    "sum_all": (((3, 4),), None), "bcast_full": (((),), (3, 4)),
+    "dot": (((3, 4), (3, 4)), None), "smul": (((), (3, 4)), None),
+    "reshape": (((3, 4),), (4, 3)), "transpose2d": (((3, 4),), None),
+    "matmul": (((3, 4), (4, 2)), None),
+    "bcast_rows": (((4,),), 3), "sum_axis0": (((3, 4),), None),
+    "expand_cols": (((3,),), 4), "sum_axis1": (((3, 4),), None),
+    "rows_scale": (((3, 4), (3,)), None), "dot_rows": (((3, 4), (3, 4)), None),
+    "conv2d": (((2, 3, 5, 5), (4, 3, 3, 3)), 1),
+    "conv2d_kgrad": (((2, 3, 5, 5), (2, 4, 5, 5)), 1),
+    "swap_flip": (((4, 3, 3, 3),), None),
+    "conv_bias": (((4,),), (2, 5, 5)), "sum_nhw": (((2, 4, 5, 5),), None),
+    "logsumexp_rows": (((3, 4),), None), "softmax_rows": (((3, 4),), None),
+    "pick_rows": (((3, 4),), np.array([0, 3, 1])),
+    "scatter_rows": (((3,),), (np.array([0, 3, 1]), 4)),
+}
+
+
+def _apply_rule(op, need):
+    """Record `op` on a fresh tape, then run its backward rule with `need`.
+    Returns (the node's parent indices, the rule's pairs as (index, bytes))."""
+    shapes, ctx = _RULE_CASES[op]
+    r = np.random.default_rng(0)
+    t = Tape()
+    parents = [t.leaf(r.uniform(0.5, 2.0, sh)) for sh in shapes]
+    out = t._record(op, parents, ctx)
+    g = t.leaf(r.standard_normal(out.shape))
+    node = t.nodes[out.index]
+    pairs = _BACKWARD[op](t, node, out.index, g, need)
+    return node.parents, [(p, c.value.tobytes()) for p, c in pairs]
+
+
+def test_every_forward_op_has_a_backward_rule():
+    assert set(_BACKWARD) == set(_FORWARD)
+
+
+@pytest.mark.parametrize("op", sorted(_BACKWARD))
+def test_backward_rule_returns_exactly_the_needed_parents(op):
+    if op not in _RULE_CASES:
+        pytest.fail(f"no rule-contract case for backward rule {op!r}")
+    n_parents = len(_RULE_CASES[op][0])
+    parents, every = _apply_rule(op, [True] * n_parents)
+    assert [p for p, _ in every] == list(parents)
+    for need in product([False, True], repeat=n_parents):
+        _, got = _apply_rule(op, list(need))
+        assert got == [pair for pair, n in zip(every, need) if n]
+
+
+def _compute_then_drop(monkeypatch):
+    """Make every rule build all contributions and vjp keep the needed ones:
+    the backward work before rules were given the need flags."""
+    for op, rule in list(_BACKWARD.items()):
+        def every(tape, node, ni, g, need, rule=rule):
+            pairs = rule(tape, node, ni, g, [True] * len(need))
+            return [pair for pair, n in zip(pairs, need) if n]
+        monkeypatch.setitem(_BACKWARD, op, every)
+
+
+def _kernel_calls(monkeypatch, record=None):
+    """Count conv2d / conv2d_kgrad / matmul kernel runs; `record` (optional)
+    receives each conv2d call's (input, kernel) values."""
+    calls = dict.fromkeys(("conv2d", "conv2d_kgrad", "matmul"), 0)
+    for op in calls:
+        def counted(vals, ctx, op=op, kernel=_FORWARD[op]):
+            calls[op] += 1
+            if record is not None and op == "conv2d":
+                record.append(vals)
+            return kernel(vals, ctx)
+        monkeypatch.setitem(_FORWARD, op, counted)
+    return calls
+
+
+def _small_base(seed=0):
+    return build_base_model((3, 6, 6), 4, seed=seed, channels=(4, 5))
+
+
+@pytest.mark.parametrize("every_flag", [False, True])
+def test_input_gradient_runs_no_kernel_gradient(monkeypatch, every_flag):
+    # res_block filter (2 convs) + base (2 convs, 1 dense), gradient wrt x only
+    filt = micro_bank(1, seed=3, hidden=4).filters[0]
+    model = _small_base().freeze()
+    x = np.random.default_rng(4).uniform(0, 1, (2, 3, 6, 6))
+    if every_flag:
+        _compute_then_drop(monkeypatch)
+    calls = _kernel_calls(monkeypatch)
+    _pipeline_loss_grad(model, filt, x, np.array([0, 3]))
+    assert calls["conv2d_kgrad"] == (4 if every_flag else 0)
+    assert calls["matmul"] == (3 if every_flag else 2)  # forward + input gradient
+
+
+@pytest.mark.parametrize("every_flag", [False, True])
+def test_bank_gradient_of_ce_runs_no_conv_into_the_input(monkeypatch, every_flag):
+    bank = micro_bank(2, seed=5, hidden=4)
+    model = _small_base().freeze()
+    x = np.random.default_rng(6).uniform(0, 1, (2, 3, 6, 6))
+    if every_flag:
+        _compute_then_drop(monkeypatch)
+    convs = []
+    _kernel_calls(monkeypatch, convs)
+    tape = Tape()
+    pvars = bind_bank(tape, bank)
+    out = ce_component(tape, bank, model, tape.leaf(x), np.array([1, 2]), pvars)
+    convs.clear()
+    grad(tape, out, [v for pv in pvars for v in pv.values()])
+    # a data-gradient conv into the input batch runs with a first-layer
+    # filter kernel, flipped by swap_flip
+    flipped = [_FORWARD["swap_flip"]([f.params["w1"]], None) for f in bank.filters]
+    into_input = sum(any(np.array_equal(k, f) for f in flipped) for _, k in convs)
+    assert into_input == (bank.k if every_flag else 0)
+
+
+@pytest.mark.parametrize("every_flag", [False, True])
+def test_pretraining_runs_no_conv_into_its_input_batch(monkeypatch, every_flag):
+    x = np.random.default_rng(7).uniform(0, 1, (4, 3, 6, 6))
+    if every_flag:
+        _compute_then_drop(monkeypatch)
+    convs = []
+    calls = _kernel_calls(monkeypatch, convs)
+    pretrain_and_freeze(_small_base(), (x, np.array([0, 1, 2, 3])), epochs=2,
+                        lr=1e-3, batch_size=4)
+    # the base's first conv maps 3 channels to 4, so only its data gradient
+    # has a kernel with 3 output channels
+    into_input = sum(k.shape[0] == 3 for _, k in convs)
+    assert into_input == (2 if every_flag else 0)
+    assert calls["conv2d_kgrad"] == 2 * 2
+
+
+def test_second_order_gradient_bitwise_equal_to_compute_then_drop(monkeypatch):
+    bank = micro_bank(2, seed=8, hidden=4, jitter=0.15)
+    model = _small_base(seed=1).freeze()
+    x = np.random.default_rng(9).uniform(0.1, 0.9, (2, 3, 6, 6))
+    probes_w = draw_logit_probes(2, model.k_classes, seed=10)
+
+    def run():
+        tape = Tape()
+        pvars = bind_bank(tape, bank)
+        out = lvjp_component(tape, bank, model, tape.leaf(x), probes_w, pvars)
+        gs = grad(tape, out, [v for pv in pvars for v in pv.values()])
+        return [v.value.tobytes() for v in [out] + gs], len(tape)
+
+    pruned, pruned_len = run()
+    _compute_then_drop(monkeypatch)
+    full, full_len = run()
+    assert pruned == full
+    assert pruned_len < full_len
