@@ -138,10 +138,12 @@ def draw_counts(k, keys):
 
 def eot_draw_counts(k, eot_samples, seed, sample_ids, step, crn=True, ncall=0):
     """EoT draw counts; draw j of a row is keyed (seed, sample id, step, j),
-    plus the oracle call number when crn is off."""
+    plus the oracle call number when crn is off. Rows that share a sample id
+    share every key, so each distinct id is drawn once."""
     tail = () if crn else (ncall,)
+    ids, row_of = np.unique(np.asarray(sample_ids), return_inverse=True)
     return draw_counts(k, [[[seed, EOT_TAG, int(s), step, j, *tail]
-                            for j in range(eot_samples)] for s in sample_ids])
+                            for j in range(eot_samples)] for s in ids])[row_of]
 
 
 def _eot_loss_grad(bank, model, x, y, counts, eot_samples, bpda):

@@ -115,23 +115,26 @@ def consensus(bank, model, dataset, mode="exact", probes=40, seed=0):
 # EoT loss surface helpers (shared by mismatch and landscapes)
 # ---------------------------------------------------------------------------
 
-def eot_loss_rows(bank, model, x, y, eot_k, crn=True, seed=0, step=0,
-                  sample_ids=None):
-    """Per-row cross-entropy averaged over the EoT filter draws.
-
-    Computed by multiplicity: sum_i (c_i/M) L_i, one tape-free forward per
-    drawn filter. Draws are keyed exactly like the EoT gradient path, so
-    with crn on the value is the function whose gradient eot_gradient
-    returns.
-    """
-    if sample_ids is None:
-        sample_ids = np.arange(x.shape[0])
-    counts = eot_draw_counts(bank.k, eot_k, seed, sample_ids, step, crn)
+def _eot_ce_rows(bank, model, x, y, counts, eot_k):
+    """sum_i (c_i/M) CE_i per row from [N, K] draw counts c: one tape-free
+    forward per drawn filter, over the rows that drew it."""
     losses = np.zeros(x.shape[0])
     for i, rows in route_rows(counts):
         z = model.forward_np(filter_forward_np(bank.filters[i], x[rows]))
         losses[rows] += counts[rows, i] * _stable_ce_rows(z, y[rows])
     return losses / eot_k
+
+
+def eot_loss_rows(bank, model, x, y, eot_k, seed=0, step=0, sample_ids=None):
+    """Per-row cross-entropy averaged over the EoT filter draws.
+
+    Computed by multiplicity: sum_i (c_i/M) L_i, one tape-free forward per
+    drawn filter. Draws are keyed exactly like the CRN EoT gradient path,
+    so the value is the function whose gradient eot_gradient returns.
+    """
+    ids = np.arange(x.shape[0]) if sample_ids is None else sample_ids
+    counts = eot_draw_counts(bank.k, eot_k, seed, ids, step)
+    return _eot_ce_rows(bank, model, x, y, counts, eot_k)
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +204,16 @@ def directional_mismatch(bank, model, dataset, etas=(1e-2, 1e-3, 1e-4),
         g = eot_gradient(bank, model, x, y, eot_k, crn=True, seed=seed,
                          step=0, sample_ids=sid)[0]
         norms.append(float(np.linalg.norm(g)))
-        # one batched loss evaluation for all (direction, eta, sign) points
-        pts = []
-        for v in dirs:
-            for e in etas:
-                pts.append(x[0] + e * v)
-                pts.append(x[0] - e * v)
-        pts = np.asarray(pts)
-        same_id = np.full(len(pts), sid[0])
-        ys = np.full(len(pts), y[0])
-        losses = eot_loss_rows(bank, model, pts, ys, eot_k, crn=True,
-                               seed=seed, step=0, sample_ids=same_id)
-        p = 0
-        for v in dirs:
+        # one batched loss evaluation for all (direction, eta, sign) points,
+        # all under the sample's id, so its draws are made once
+        pts = np.stack([x[0] + s * e * v for v in dirs for e in etas
+                        for s in (1, -1)])
+        losses = eot_loss_rows(bank, model, pts, np.full(len(pts), y[0]), eot_k,
+                               seed=seed, sample_ids=np.full(len(pts), sid[0]))
+        for v, pairs in zip(dirs, losses.reshape(n_dirs, len(etas), 2)):
             slope_true = float(np.vdot(v, g))
-            for e in etas:
-                fd = (losses[p] - losses[p + 1]) / (2 * e)
-                deltas[e].append(abs(slope_true - fd))
-                p += 2
+            for e, (up, down) in zip(etas, pairs):
+                deltas[e].append(abs(slope_true - (up - down) / (2 * e)))
 
     per_eta = {}
     for e in etas:
@@ -277,14 +272,14 @@ class LandscapeGrid:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def make_eot_ce_loss(bank, model, y, sample_id, eot_k, crn=True, seed=0):
-    """Single-input scalar loss under fixed CRN EoT draws."""
+def make_eot_ce_loss(bank, model, y, sample_id, eot_k, seed=0):
+    """Single-input scalar loss with its CRN EoT draws baked in: the
+    sample's counts are drawn once, here, as eot_loss_rows draws them."""
     yv = np.asarray([int(y)])
-    sid = np.asarray([int(sample_id)])
+    counts = eot_draw_counts(bank.k, eot_k, seed, [int(sample_id)], 0)
 
     def fn(x):
-        return float(eot_loss_rows(bank, model, x[None], yv, eot_k, crn=crn,
-                                   seed=seed, step=0, sample_ids=sid)[0])
+        return float(_eot_ce_rows(bank, model, x[None], yv, counts, eot_k)[0])
     return fn
 
 
@@ -292,8 +287,8 @@ def loss_landscape(loss_fn, x, tau, grid_n=41, dir_seed=0, eot_k=0):
     """Scalar loss over x + a*u + b*v for a,b in linspace(-tau, tau, grid_n).
 
     u, v are seeded orthonormal directions; the center cell is exactly
-    loss_fn(x). loss_fn must be pure (CRN draws baked in) so the grid is
-    reproducible. eot_k is metadata recorded in the output only.
+    loss_fn(x). loss_fn must be pure (CRN draws baked in, as in
+    make_eot_ce_loss) so the grid is reproducible; eot_k is only recorded.
     """
     if grid_n % 2 != 1:
         raise DomainError("grid_n must be odd so the center sits on x")

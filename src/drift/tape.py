@@ -658,7 +658,7 @@ _BACKWARD = {
 
 
 def vjp(tape, output, cotangent, wrt):
-    """Pull `cotangent` back from `output` to each node in `wrt`.
+    """Pull `cotangent` back from `output` to each leaf in `wrt`.
 
     Returns one Var per wrt entry holding J^T cotangent (zeros when the
     output does not depend on that leaf). Forward values are never touched;
@@ -670,6 +670,8 @@ def vjp(tape, output, cotangent, wrt):
     for wv in wrt:
         if wv.tape is not tape:
             raise TapeError("wrt Var belongs to a different tape")
+        if tape.nodes[wv.index].op != "leaf":
+            raise TapeError(f"wrt node #{wv.index} is not a leaf")
     if isinstance(cotangent, Var):
         if cotangent.tape is not tape:
             raise TapeError("cotangent Var belongs to a different tape")

@@ -9,7 +9,8 @@ from drift import attacks as attacks_module
 from drift.attacks import (
     EOT_TAG, AttackSpec, GradientOracle, _margins, _pipeline_loss_grad,
     adaptive_attack, base_oracle, check_budget, ensemble_margin_score,
-    eot_gradient, eot_oracle, filter_oracle, mim, pgd, square_attack,
+    eot_draw_counts, eot_gradient, eot_oracle, filter_oracle, mim, pgd,
+    square_attack,
 )
 from drift.diagnostics import eot_loss_rows
 from drift.models import (
@@ -392,6 +393,22 @@ def test_eot_oracle_loss_equals_eot_loss_rows(eot_setup):
     rows = eot_loss_rows(bank, model, x, y, m, seed=seed, step=step,
                          sample_ids=ids)
     np.testing.assert_allclose(loss, rows, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("crn", [True, False])
+def test_eot_draw_counts_draws_each_distinct_id_once(monkeypatch, crn):
+    ids, k, m = [5, 2, 5, 5, 2], 3, 6
+    one_at_a_time = np.concatenate(
+        [eot_draw_counts(k, m, 4, [s], 1, crn, ncall=2) for s in ids])
+    keys = []
+
+    def counting(k, seed):
+        keys.append(tuple(seed))
+        return sample_filter_index(k, seed)
+    monkeypatch.setattr(attacks_module, "sample_filter_index", counting)
+    got = eot_draw_counts(k, m, 4, ids, 1, crn, ncall=2)
+    np.testing.assert_array_equal(got, one_at_a_time)
+    assert len(keys) == len(set(keys)) == 2 * m
 
 
 # -- bpda ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import drift.attacks as attacks_module
 import drift.diagnostics as diagnostics_module
 import drift.tape as tape_module
 from drift.attacks import AttackSpec, _pipeline_loss_grad
@@ -17,7 +18,7 @@ from drift.errors import DomainError
 from drift.losses import NORM_GUARD, cos_sq, draw_logit_probes
 from drift.models import (
     Filter, FilterArch, FilterBank, base_apply, bind_params,
-    build_base_model, build_filter_bank, filter_forward,
+    build_base_model, build_filter_bank, filter_forward, sample_filter_index,
 )
 from drift.tape import Tape, cross_entropy_rows, dot_rows, grad, sum_all
 
@@ -345,6 +346,35 @@ def test_landscape_eot_deterministic_and_centered(small_base):
     want_center = eot_loss_rows(bank, small_base, x, y, eot_k=6, seed=4,
                                 sample_ids=np.asarray([17]))[0]
     assert g1.grid[2, 2] == want_center
+
+
+def test_landscape_loss_draws_its_counts_once(monkeypatch, small_base):
+    draws = []
+
+    def counting(k, seed):
+        draws.append(1)
+        return sample_filter_index(k, seed)
+    monkeypatch.setattr(attacks_module, "sample_filter_index", counting)
+    x, y = small_inputs(n=1)
+    fn = make_eot_ce_loss(micro_bank(3, seed=5), small_base, y[0],
+                          sample_id=17, eot_k=6, seed=4)
+    loss_landscape(fn, x[0], tau=3 / 255, grid_n=5, dir_seed=1, eot_k=6)
+    assert len(draws) == 6
+
+
+def test_landscape_loss_equals_eot_loss_rows_at_every_cell(small_base):
+    bank = micro_bank(3, seed=5)
+    x, y = small_inputs(n=1)
+    fn = make_eot_ce_loss(bank, small_base, y[0], sample_id=17, eot_k=6, seed=4)
+    grid = loss_landscape(fn, x[0], tau=3 / 255, grid_n=5, dir_seed=1).grid
+    u, v = orthonormal_directions(2, x[0].shape, 1)
+    offsets = np.linspace(-3 / 255, 3 / 255, 5)
+    for a, da in enumerate(offsets):
+        for b, db in enumerate(offsets):
+            point = (x[0] + da * u + db * v)[None]
+            want = eot_loss_rows(bank, small_base, point, y, eot_k=6, seed=4,
+                                 sample_ids=np.asarray([17]))[0]
+            assert grid[a, b] == want
 
 
 def test_landscape_csv_round_trip(tmp_path):

@@ -461,6 +461,20 @@ def test_vjp_foreign_tape_raises():
         vjp(t2, y, np.asarray(1.0), [x2])
 
 
+def test_vjp_rejects_a_wrt_node_that_is_not_a_leaf():
+    # dz/dy = 2y = 18 would be silently returned as 0 if y were accepted
+    t = Tape()
+    x = t.leaf(np.asarray(3.0))
+    y = mul(x, x)
+    z = sum_all(mul(y, y))
+    (gx,) = grad(t, z, [x])
+    assert float(gx.value) == 108.0
+    with pytest.raises(TapeError, match="not a leaf"):
+        grad(t, z, [y])
+    with pytest.raises(TapeError, match="not a leaf"):
+        grad(t, z, [x, y])
+
+
 def test_vjp_cotangent_shape_mismatch_raises():
     t = Tape()
     x = t.leaf(np.ones(3))
