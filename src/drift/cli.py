@@ -1,8 +1,10 @@
-"""Command-line surface: train, attack, diagnose, landscape, report.
+"""Command-line surface: train, attack, diagnose, report.
 
-Every subcommand that needs data rebuilds the eval split from metadata
-stored in the checkpoint, so a .dtns file is self-contained. All outputs
-land next to their inputs (checkpoint directory or --out).
+`diagnose --what` runs one diagnostic, the EoT loss landscape among them,
+at the parameters every run uses (harness.run_diagnostic). Every subcommand
+that needs data rebuilds the eval split from metadata stored in the
+checkpoint, so a .dtns file is self-contained. All outputs land next to
+their inputs (checkpoint directory or --out).
 """
 
 import argparse
@@ -14,7 +16,6 @@ import numpy as np
 
 from .attacks import AttackSpec
 from .data import generate_synthetic_dataset
-from .diagnostics import loss_landscape, make_eot_ce_loss
 from .dtns import checkpoint_meta, load_checkpoint
 from .errors import DivergenceError, DomainError, NonFiniteLoss, StageError
 from .harness import (
@@ -83,23 +84,12 @@ def cmd_diagnose(args):
     elif args.what == "probes":
         for row in result:
             print(f"P={row['P']}: variance {row['variance']:.3e}")
+    elif args.what == "landscape":
+        v = result.grid
+        print(f"loss range over the plane: [{v.min():.6f}, {v.max():.6f}]")
     else:
         print(f"median EoT gradient norm: {result['median']:.6f}")
     print(f"wrote {out_dir / DIAGNOSTIC_FILES[args.what]}")
-    return 0
-
-
-def cmd_landscape(args):
-    bank, model, eval_split = _load_for_eval(args.checkpoint)
-    fn = make_eot_ce_loss(bank, model, eval_split.y[0],
-                          sample_id=int(eval_split.ids[0]), eot_k=args.eot)
-    grid = loss_landscape(fn, eval_split.x[0], tau=args.tau,
-                          grid_n=args.grid, eot_k=args.eot)
-    out = Path(args.checkpoint).parent / "landscape.csv"
-    grid.save_csv(out)
-    v = grid.grid
-    print(f"loss range over the plane: [{v.min():.6f}, {v.max():.6f}]")
-    print(f"wrote {out}")
     return 0
 
 
@@ -171,17 +161,8 @@ def build_parser():
 
     p = sub.add_parser("diagnose", help="run one diagnostic on a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--what", required=True,
-                   choices=("consensus", "mismatch", "transfer", "probes",
-                            "gradnorm"))
+    p.add_argument("--what", required=True, choices=tuple(DIAGNOSTIC_FILES))
     p.set_defaults(fn=cmd_diagnose)
-
-    p = sub.add_parser("landscape", help="loss surface over a random plane")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tau", type=float, default=3 / 255)
-    p.add_argument("--grid", type=int, default=41)
-    p.add_argument("--eot", type=int, default=128)
-    p.set_defaults(fn=cmd_landscape)
 
     p = sub.add_parser("report", help="summarize a finished run directory")
     p.add_argument("--dir", required=True)

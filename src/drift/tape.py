@@ -10,6 +10,8 @@ weight, no input gradient for a constant input.
 Backward rules are themselves built from recorded primitives, so the result
 of a vjp call is an ordinary node and can be differentiated again. That is
 what lets losses defined on Jacobian probes have exact parameter gradients.
+Every broadcast (biases, row-wise backward terms) is one primitive, `bcast`,
+and every reduction is its adjoint, `sum`; each is the other's backward rule.
 The only non-differentiable pieces are the ReLU/maximum selection masks,
 which enter as constant leaves (their derivative is zero almost everywhere,
 matching the subgradient-at-zero convention).
@@ -23,7 +25,7 @@ __all__ = [
     "Tape", "Var", "vjp", "grad",
     "conv2d", "relu", "dense",
     "add", "sub", "mul", "div", "neg", "scale", "add_const", "maximum",
-    "sum_all", "dot", "sqrt", "reshape", "matmul", "transpose2d",
+    "sum_all", "sqrt", "reshape", "matmul", "transpose2d",
     "dot_rows", "rows_scale", "mean_all", "logsumexp_rows", "softmax_rows",
     "pick_rows", "cross_entropy_rows",
 ]
@@ -215,25 +217,17 @@ _FORWARD = {
     "add_const": lambda v, c: v[0] + c,
     "relu": lambda v, c: np.maximum(v[0], 0.0),
     "maximum": lambda v, c: np.maximum(v[0], v[1]),
-    "sum_all": lambda v, c: np.asarray(v[0].sum()),
-    "bcast_full": lambda v, c: np.broadcast_to(v[0], c).copy(),
-    "dot": lambda v, c: np.asarray(np.vdot(v[0], v[1])),
-    "smul": lambda v, c: v[0] * v[1],
+    "sum": lambda v, c: np.asarray(v[0].sum(axis=c)),
+    "bcast": lambda v, c: np.broadcast_to(np.expand_dims(v[0], c[1]), c[0]).copy(),
     "sqrt": lambda v, c: np.sqrt(v[0]),
     "reshape": lambda v, c: v[0].reshape(c) if not c else np.ascontiguousarray(v[0].reshape(c)),
     "transpose2d": lambda v, c: np.ascontiguousarray(v[0].T),
     "matmul": lambda v, c: v[0] @ v[1],
-    "bcast_rows": lambda v, c: np.broadcast_to(v[0], (c,) + v[0].shape).copy(),
-    "sum_axis0": lambda v, c: v[0].sum(axis=0),
-    "expand_cols": lambda v, c: np.repeat(v[0][:, None], c, axis=1),
-    "sum_axis1": lambda v, c: v[0].sum(axis=1),
     "rows_scale": lambda v, c: v[0] * v[1].reshape((-1,) + (1,) * (v[0].ndim - 1)),
     "dot_rows": lambda v, c: (v[0] * v[1]).reshape(v[0].shape[0], -1).sum(axis=1),
     "conv2d": _k_conv2d,
     "conv2d_kgrad": _k_conv2d_kgrad,
     "swap_flip": _k_swap_flip,
-    "conv_bias": lambda v, c: np.broadcast_to(v[0][None, :, None, None], (c[0], v[0].shape[0], c[1], c[2])).copy(),
-    "sum_nhw": lambda v, c: v[0].sum(axis=(0, 2, 3)),
     "logsumexp_rows": _k_logsumexp_rows,
     "softmax_rows": _k_softmax_rows,
     "pick_rows": lambda v, c: v[0][np.arange(v[0].shape[0]), c],
@@ -287,8 +281,18 @@ def maximum(a, b):
     return _same_tape(a, b)._record("maximum", (a, b))
 
 
+def _sum(a, axes):
+    """Sum over `axes`; the adjoint of _bcast."""
+    return a.tape._record("sum", (a,), tuple(axes))
+
+
+def _bcast(a, shape, axes):
+    """Insert `axes` into a and broadcast it to `shape`; the adjoint of _sum."""
+    return a.tape._record("bcast", (a,), (tuple(shape), tuple(axes)))
+
+
 def sum_all(a):
-    return a.tape._record("sum_all", (a,))
+    return _sum(a, range(a.value.ndim))
 
 
 def mean_all(a):
@@ -296,18 +300,9 @@ def mean_all(a):
     return scale(sum_all(a), 1.0 / n)
 
 
-def dot(a, b):
-    _check_same_shape(a, b, "dot")
-    return _same_tape(a, b)._record("dot", (a, b))
-
-
-def _smul(s, t):
-    return _same_tape(s, t)._record("smul", (s, t))
-
-
 def sqrt(a):
     """Elementwise square root. Backward divides by the output, so keep
-    inputs strictly positive (norm uses dot + 1e-300 for that reason)."""
+    inputs strictly positive."""
     return a.tape._record("sqrt", (a,))
 
 
@@ -328,22 +323,6 @@ def matmul(a, b):
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
     return _same_tape(a, b)._record("matmul", (a, b))
-
-
-def _bcast_rows(v, n):
-    return v.tape._record("bcast_rows", (v,), int(n))
-
-
-def _sum_axis0(x):
-    return x.tape._record("sum_axis0", (x,))
-
-
-def _expand_cols(v, k):
-    return v.tape._record("expand_cols", (v,), int(k))
-
-
-def _sum_axis1(x):
-    return x.tape._record("sum_axis1", (x,))
 
 
 def rows_scale(a, v):
@@ -369,14 +348,6 @@ def _conv2d_kgrad(x, gy, pad):
 
 def _swap_flip(k):
     return k.tape._record("swap_flip", (k,))
-
-
-def _conv_bias(b, n, h, w):
-    return b.tape._record("conv_bias", (b,), (int(n), int(h), int(w)))
-
-
-def _sum_nhw(x):
-    return x.tape._record("sum_nhw", (x,))
 
 
 def logsumexp_rows(z):
@@ -419,7 +390,7 @@ def conv2d(x, kernel, bias, padding):
         x = reshape(x, (1,) + x.value.shape)
     if x.value.ndim != 4 or kernel.value.ndim != 4:
         raise ShapeError("conv2d expects image [.,C,H,W] and kernel [O,C,k,k]")
-    n, c, h, w = x.value.shape
+    _, c, h, w = x.value.shape
     o, ck, kh, kw = kernel.value.shape
     if ck != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {ck}")
@@ -431,8 +402,7 @@ def conv2d(x, kernel, bias, padding):
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ShapeError("conv2d: kernel larger than padded input")
     y = _conv2d_raw(x, kernel, pad)
-    _, _, ho, wo = y.value.shape
-    y = add(y, _conv_bias(bias, n, ho, wo))
+    y = add(y, _bcast(bias, y.value.shape, (0, 2, 3)))
     if single:
         y = reshape(y, y.value.shape[1:])
     return y
@@ -447,7 +417,8 @@ def dense(x, w, b):
         raise ShapeError(f"dense: x {x.value.shape} vs W {w.value.shape}")
     if b.value.shape != (w.value.shape[0],):
         raise ShapeError("dense: bias length must match output dim")
-    y = add(matmul(x, transpose2d(w)), _bcast_rows(b, x.value.shape[0]))
+    y = matmul(x, transpose2d(w))
+    y = add(y, _bcast(b, y.value.shape, (0,)))
     if single:
         y = reshape(y, (y.value.shape[1],))
     return y
@@ -518,23 +489,13 @@ def _bwd_maximum(tape, node, ni, g, need):
                  lambda: mul(g, tape.leaf(1.0 - take_a)))
 
 
-def _bwd_sum_all(tape, node, ni, g, need):
+def _bwd_sum(tape, node, ni, g, need):
     shp = tape.nodes[node.parents[0]].value.shape
-    return _pick(node, need, lambda: tape._record("bcast_full", (g,), shp))
+    return _pick(node, need, lambda: _bcast(g, shp, node.ctx))
 
 
-def _bwd_bcast_full(tape, node, ni, g, need):
-    return _pick(node, need, lambda: sum_all(g))
-
-
-def _bwd_dot(tape, node, ni, g, need):
-    a, b = _pvar(tape, node, 0), _pvar(tape, node, 1)
-    return _pick(node, need, lambda: _smul(g, b), lambda: _smul(g, a))
-
-
-def _bwd_smul(tape, node, ni, g, need):
-    s, t = _pvar(tape, node, 0), _pvar(tape, node, 1)
-    return _pick(node, need, lambda: dot(g, t), lambda: _smul(s, g))
+def _bwd_bcast(tape, node, ni, g, need):
+    return _pick(node, need, lambda: _sum(g, node.ctx[1]))
 
 
 def _bwd_sqrt(tape, node, ni, g, need):
@@ -555,24 +516,6 @@ def _bwd_matmul(tape, node, ni, g, need):
     a, b = _pvar(tape, node, 0), _pvar(tape, node, 1)
     return _pick(node, need, lambda: matmul(g, transpose2d(b)),
                  lambda: matmul(transpose2d(a), g))
-
-
-def _bwd_bcast_rows(tape, node, ni, g, need):
-    return _pick(node, need, lambda: _sum_axis0(g))
-
-
-def _bwd_sum_axis0(tape, node, ni, g, need):
-    n = tape.nodes[node.parents[0]].value.shape[0]
-    return _pick(node, need, lambda: _bcast_rows(g, n))
-
-
-def _bwd_expand_cols(tape, node, ni, g, need):
-    return _pick(node, need, lambda: _sum_axis1(g))
-
-
-def _bwd_sum_axis1(tape, node, ni, g, need):
-    k = tape.nodes[node.parents[0]].value.shape[1]
-    return _pick(node, need, lambda: _expand_cols(g, k))
 
 
 def _bwd_rows_scale(tape, node, ni, g, need):
@@ -606,26 +549,16 @@ def _bwd_swap_flip(tape, node, ni, g, need):
     return _pick(node, need, lambda: _swap_flip(g))
 
 
-def _bwd_conv_bias(tape, node, ni, g, need):
-    return _pick(node, need, lambda: _sum_nhw(g))
-
-
-def _bwd_sum_nhw(tape, node, ni, g, need):
-    n, _, h, w = tape.nodes[node.parents[0]].value.shape
-    return _pick(node, need, lambda: _conv_bias(g, n, h, w))
-
-
 def _bwd_logsumexp_rows(tape, node, ni, g, need):
     z = _pvar(tape, node, 0)
     return _pick(node, need,
-                 lambda: mul(softmax_rows(z), _expand_cols(g, z.value.shape[1])))
+                 lambda: mul(softmax_rows(z), _bcast(g, z.value.shape, (1,))))
 
 
 def _bwd_softmax_rows(tape, node, ni, g, need):
     out = Var(tape, ni)
-    k = out.value.shape[1]
-    return _pick(node, need,
-                 lambda: mul(out, sub(g, _expand_cols(_sum_axis1(mul(g, out)), k))))
+    return _pick(node, need, lambda: mul(out, sub(g, _bcast(
+        _sum(mul(g, out), (1,)), out.value.shape, (1,)))))
 
 
 def _bwd_pick_rows(tape, node, ni, g, need):
@@ -642,16 +575,12 @@ _BACKWARD = {
     "add": _bwd_add, "sub": _bwd_sub, "mul": _bwd_mul, "div": _bwd_div,
     "neg": _bwd_neg, "scale": _bwd_scale, "add_const": _bwd_add_const,
     "relu": _bwd_relu, "maximum": _bwd_maximum,
-    "sum_all": _bwd_sum_all, "bcast_full": _bwd_bcast_full,
-    "dot": _bwd_dot, "smul": _bwd_smul, "sqrt": _bwd_sqrt,
+    "sum": _bwd_sum, "bcast": _bwd_bcast, "sqrt": _bwd_sqrt,
     "reshape": _bwd_reshape, "transpose2d": _bwd_transpose2d,
     "matmul": _bwd_matmul,
-    "bcast_rows": _bwd_bcast_rows, "sum_axis0": _bwd_sum_axis0,
-    "expand_cols": _bwd_expand_cols, "sum_axis1": _bwd_sum_axis1,
     "rows_scale": _bwd_rows_scale, "dot_rows": _bwd_dot_rows,
     "conv2d": _bwd_conv2d, "conv2d_kgrad": _bwd_conv2d_kgrad,
     "swap_flip": _bwd_swap_flip,
-    "conv_bias": _bwd_conv_bias, "sum_nhw": _bwd_sum_nhw,
     "logsumexp_rows": _bwd_logsumexp_rows, "softmax_rows": _bwd_softmax_rows,
     "pick_rows": _bwd_pick_rows, "scatter_rows": _bwd_scatter_rows,
 }

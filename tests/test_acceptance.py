@@ -383,7 +383,7 @@ def test_criterion_7_obfuscation_diagnostics(desk):
     bank, model, ev = desk["bank"], desk["model"], desk["eval"]
     sub = Split(ev.x[:16], ev.y[:16], ev.ids[:16])
     stats = directional_mismatch(bank, model, sub, etas=(1e-3,), n_dirs=10,
-                                 eot_k=128, crn=True, seed=SEED)
+                                 eot_k=128, seed=SEED)
     med = stats.per_eta[1e-3]["median"]
     assert med <= 0.05, f"median mismatch {med:.4f}"
 

@@ -86,12 +86,15 @@ def test_diagnose_gradnorm(trained_run):
     assert set(stats) == {"median", "p05", "p95"}
 
 
-def test_landscape_subcommand(trained_run):
+def test_landscape_subcommand(trained_run, capsys):
     ckpt = str(trained_run / "checkpoint.dtns")
-    assert main(["landscape", "--checkpoint", ckpt, "--tau", "0.01",
-                 "--grid", "5", "--eot", "2"]) == 0
-    header = (trained_run / "landscape.csv").read_text().splitlines()[0]
-    assert header == "tau,grid_n,dir_seed,eot_k"
+    assert main(["diagnose", "--checkpoint", ckpt,
+                 "--what", "landscape"]) == 0
+    assert "loss range over the plane" in capsys.readouterr().out
+    lines = (trained_run / "landscape.csv").read_text().splitlines()
+    assert lines[:2] == ["tau,grid_n,dir_seed,eot_k", f"{3 / 255!r},41,0,128"]
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    assert len(rows) == 41 and all(len(r) == 41 for r in rows)
 
 
 def test_report_subcommand(trained_run, capsys):

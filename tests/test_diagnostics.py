@@ -285,12 +285,6 @@ def test_mismatch_evaluates_only_the_difference_points(monkeypatch, small_base):
     assert rows == [3 * 2 * 2] * 2
 
 
-def test_mismatch_requires_crn(small_base):
-    bank = micro_bank(2)
-    with pytest.raises(DomainError):
-        directional_mismatch(bank, small_base, small_inputs(n=2), crn=False)
-
-
 def test_orthonormal_directions_properties():
     dirs = orthonormal_directions(4, (3, 4, 4), seed=7)
     flat = dirs.reshape(4, -1)

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from conftest import micro_bank
 from drift import ShapeError, TapeError
 from drift.attacks import _pipeline_loss_grad
-from drift.losses import bind_bank, ce_component, draw_logit_probes, lvjp_component
+from drift.losses import (
+    ProbeConfig, bind_bank, ce_component, draw_logit_probes, lvjp_component,
+)
 from drift.models import build_base_model, pretrain_and_freeze
 from drift.tape import (
-    _BACKWARD, _FORWARD, Tape, add, conv2d, cross_entropy_rows, dense, dot,
-    dot_rows, div, grad, matmul, maximum, mul, relu, reshape, rows_scale,
-    scale, sqrt, sum_all, vjp,
+    _BACKWARD, _FORWARD, Tape, _bcast, _sum, add, conv2d, cross_entropy_rows,
+    dense, dot_rows, div, grad, matmul, maximum, mul, relu, reshape,
+    rows_scale, scale, sqrt, sum_all, vjp,
 )
+from drift.training import TrainConfig, train_drift
 
 
 def rel_err(approx, exact):
@@ -109,7 +112,7 @@ def test_dot_backward_closed_form():
     b0 = RNG.standard_normal(7)
     t = Tape()
     av, bv = t.leaf(a0), t.leaf(b0)
-    ga, gb = grad(t, dot(av, bv), [av, bv])
+    ga, gb = grad(t, sum_all(mul(av, bv)), [av, bv])
     np.testing.assert_allclose(ga.value, b0, rtol=1e-12)
     np.testing.assert_allclose(gb.value, a0, rtol=1e-12)
 
@@ -371,7 +374,7 @@ def test_xent_second_order_fd():
         zv = t.leaf(z)
         loss = xent(zv, 1)
         (g,) = grad(t, loss, [zv])
-        return t, zv, dot(g, g)
+        return t, zv, sum_all(mul(g, g))
 
     t, zv, out = gnorm2(z0)
     (h,) = grad(t, out, [zv])
@@ -397,7 +400,7 @@ def test_second_order_through_conv():
         y = conv2d(xv, kv, bv, padding=1)
         out = sum_all(mul(y, y))
         (gx,) = grad(t, out, [xv])
-        return t, kv, dot(gx, gx)
+        return t, kv, sum_all(mul(gx, gx))
 
     t, kv, out = gnorm2(k0)
     (h,) = grad(t, out, [kv])
@@ -444,7 +447,7 @@ def test_vjp_multiple_wrt_order():
     t = Tape()
     a = t.leaf(np.array([1.0, 2.0]))
     b = t.leaf(np.array([3.0, 4.0]))
-    y = dot(a, b)
+    y = sum_all(mul(a, b))
     gb, ga = vjp(t, y, np.asarray(1.0), [b, a])
     np.testing.assert_array_equal(ga.value, b.value)
     np.testing.assert_array_equal(gb.value, a.value)
@@ -539,35 +542,57 @@ def test_float32_is_preserved():
 
 # -- vjp builds only the contributions to parents that depend on wrt ---------
 
-# op -> (parent shapes, ctx), one application per backward rule; parent
-# values are drawn positive, which keeps div and sqrt finite
-_RULE_CASES = {
-    "add": (((3, 4), (3, 4)), None), "sub": (((3, 4), (3, 4)), None),
-    "mul": (((3, 4), (3, 4)), None), "div": (((3, 4), (3, 4)), None),
-    "maximum": (((3, 4), (3, 4)), None), "neg": (((3, 4),), None),
-    "scale": (((3, 4),), 1.5), "add_const": (((3, 4),), 0.5),
-    "relu": (((3, 4),), None), "sqrt": (((3, 4),), None),
-    "sum_all": (((3, 4),), None), "bcast_full": (((),), (3, 4)),
-    "dot": (((3, 4), (3, 4)), None), "smul": (((), (3, 4)), None),
-    "reshape": (((3, 4),), (4, 3)), "transpose2d": (((3, 4),), None),
-    "matmul": (((3, 4), (4, 2)), None),
-    "bcast_rows": (((4,),), 3), "sum_axis0": (((3, 4),), None),
-    "expand_cols": (((3,),), 4), "sum_axis1": (((3, 4),), None),
-    "rows_scale": (((3, 4), (3,)), None), "dot_rows": (((3, 4), (3, 4)), None),
-    "conv2d": (((2, 3, 5, 5), (4, 3, 3, 3)), 1),
-    "conv2d_kgrad": (((2, 3, 5, 5), (2, 4, 5, 5)), 1),
-    "swap_flip": (((4, 3, 3, 3),), None),
-    "conv_bias": (((4,),), (2, 5, 5)), "sum_nhw": (((2, 4, 5, 5),), None),
-    "logsumexp_rows": (((3, 4),), None), "softmax_rows": (((3, 4),), None),
-    "pick_rows": (((3, 4),), np.array([0, 3, 1])),
-    "scatter_rows": (((3,),), (np.array([0, 3, 1]), 4)),
-}
+# every (full shape, axes) pattern the package sums over and broadcasts
+# along: all axes of a scalar (sum_all of a 0-d value), the dense bias, the
+# logsumexp/softmax rows, the conv bias, and sum_all of a matrix and a batch
+_AXES_CASES = [((), ()), ((3, 4), (0,)), ((3, 4), (1,)),
+               ((2, 4, 5, 5), (0, 2, 3)), ((3, 4), (0, 1)),
+               ((2, 4, 5, 5), (0, 1, 2, 3))]
 
 
-def _apply_rule(op, need):
+def _reduced(shape, axes):
+    return tuple(n for i, n in enumerate(shape) if i not in axes)
+
+
+# names the sum and bcast cases after the kernel that served each axes
+# pattern before those two ops replaced them
+_AXES_NAMES = {"all": ("sum_all", "bcast_full"), (0,): ("sum_axis0", "bcast_rows"),
+               (1,): ("sum_axis1", "expand_cols"),
+               (0, 2, 3): ("sum_nhw", "conv_bias")}
+
+
+def _axes_names(shape, axes):
+    return _AXES_NAMES["all" if len(axes) == len(shape) else axes]
+
+
+# (case name, op, parent shapes, ctx), at least one application per backward
+# rule; the name is the op's, except for sum and bcast, which are named per
+# axes pattern; parent values are drawn positive, which keeps div and sqrt
+# finite
+_RULE_CASES = [(op, op, shapes, ctx) for op, shapes, ctx in [
+    ("add", ((3, 4), (3, 4)), None), ("sub", ((3, 4), (3, 4)), None),
+    ("mul", ((3, 4), (3, 4)), None), ("div", ((3, 4), (3, 4)), None),
+    ("maximum", ((3, 4), (3, 4)), None), ("neg", ((3, 4),), None),
+    ("scale", ((3, 4),), 1.5), ("add_const", ((3, 4),), 0.5),
+    ("relu", ((3, 4),), None), ("sqrt", ((3, 4),), None),
+    ("reshape", ((3, 4),), (4, 3)), ("transpose2d", ((3, 4),), None),
+    ("matmul", ((3, 4), (4, 2)), None),
+    ("rows_scale", ((3, 4), (3,)), None), ("dot_rows", ((3, 4), (3, 4)), None),
+    ("conv2d", ((2, 3, 5, 5), (4, 3, 3, 3)), 1),
+    ("conv2d_kgrad", ((2, 3, 5, 5), (2, 4, 5, 5)), 1),
+    ("swap_flip", ((4, 3, 3, 3),), None),
+    ("logsumexp_rows", ((3, 4),), None), ("softmax_rows", ((3, 4),), None),
+    ("pick_rows", ((3, 4),), np.array([0, 3, 1])),
+    ("scatter_rows", ((3,),), (np.array([0, 3, 1]), 4)),
+]] + [(_axes_names(shape, axes)[0], "sum", (shape,), axes)
+      for shape, axes in _AXES_CASES] + [
+    (_axes_names(shape, axes)[1], "bcast", (_reduced(shape, axes),), (shape, axes))
+    for shape, axes in _AXES_CASES]
+
+
+def _apply_rule(op, shapes, ctx, need):
     """Record `op` on a fresh tape, then run its backward rule with `need`.
     Returns (the node's parent indices, the rule's pairs as (index, bytes))."""
-    shapes, ctx = _RULE_CASES[op]
     r = np.random.default_rng(0)
     t = Tape()
     parents = [t.leaf(r.uniform(0.5, 2.0, sh)) for sh in shapes]
@@ -582,16 +607,64 @@ def test_every_forward_op_has_a_backward_rule():
     assert set(_BACKWARD) == set(_FORWARD)
 
 
-@pytest.mark.parametrize("op", sorted(_BACKWARD))
-def test_backward_rule_returns_exactly_the_needed_parents(op):
-    if op not in _RULE_CASES:
-        pytest.fail(f"no rule-contract case for backward rule {op!r}")
-    n_parents = len(_RULE_CASES[op][0])
-    parents, every = _apply_rule(op, [True] * n_parents)
-    assert [p for p, _ in every] == list(parents)
-    for need in product([False, True], repeat=n_parents):
-        _, got = _apply_rule(op, list(need))
-        assert got == [pair for pair, n in zip(every, need) if n]
+def test_every_backward_rule_has_a_rule_contract_case():
+    assert {op for _, op, _, _ in _RULE_CASES} == set(_BACKWARD)
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _, _, _ in _RULE_CASES}))
+def test_backward_rule_returns_exactly_the_needed_parents(name):
+    cases = [(op, shapes, ctx) for n, op, shapes, ctx in _RULE_CASES if n == name]
+    for op, shapes, ctx in cases:
+        parents, every = _apply_rule(op, shapes, ctx, [True] * len(shapes))
+        assert [p for p, _ in every] == list(parents)
+        for need in product([False, True], repeat=len(shapes)):
+            _, got = _apply_rule(op, shapes, ctx, list(need))
+            assert got == [pair for pair, n in zip(every, need) if n]
+
+
+# the eight broadcast and sum kernels that _bcast and _sum replaced, as they
+# were; _OLD_PAIRS maps each axes pattern to the pair that served it
+_OLD_KERNELS = {
+    "sum_all": lambda v, c: np.asarray(v[0].sum()),
+    "bcast_full": lambda v, c: np.broadcast_to(v[0], c).copy(),
+    "bcast_rows": lambda v, c: np.broadcast_to(v[0], (c,) + v[0].shape).copy(),
+    "sum_axis0": lambda v, c: v[0].sum(axis=0),
+    "expand_cols": lambda v, c: np.repeat(v[0][:, None], c, axis=1),
+    "sum_axis1": lambda v, c: v[0].sum(axis=1),
+    "conv_bias": lambda v, c: np.broadcast_to(v[0][None, :, None, None], (c[0], v[0].shape[0], c[1], c[2])).copy(),
+    "sum_nhw": lambda v, c: v[0].sum(axis=(0, 2, 3)),
+}
+_OLD_PAIRS = {  # axes -> (old sum kernel, old broadcast kernel and its ctx)
+    "all": ("sum_all", "bcast_full", lambda shape: shape),
+    (0,): ("sum_axis0", "bcast_rows", lambda shape: shape[0]),
+    (1,): ("sum_axis1", "expand_cols", lambda shape: shape[1]),
+    (0, 2, 3): ("sum_nhw", "conv_bias", lambda shape: (shape[0],) + shape[2:]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape, axes", [
+    ((), ()), ((37, 10), (0,)), ((37, 10), (1,)), ((7, 4, 9, 11), (0, 2, 3)),
+    ((37, 10), (0, 1)), ((7, 4, 9, 11), (0, 1, 2, 3))],
+    ids=["scalar", "dense_bias", "rows", "conv_bias", "all_2d", "all_4d"])
+def test_sum_and_bcast_are_byte_equal_to_the_kernels_they_replaced(shape, axes, dtype):
+    r = np.random.default_rng(1)
+    x = r.standard_normal(shape).astype(dtype)
+    part = r.standard_normal(_reduced(shape, axes)).astype(dtype)
+    old_sum, old_bcast, old_ctx = _OLD_PAIRS[
+        "all" if len(axes) == len(shape) else axes]
+    pairs = (
+        (_FORWARD["sum"]([x], axes), _OLD_KERNELS[old_sum]([x], None)),
+        (_FORWARD["bcast"]([part], (shape, axes)),
+         _OLD_KERNELS[old_bcast]([part], old_ctx(shape))))
+    for new, old in pairs:
+        assert (new.shape, new.dtype) == (old.shape, old.dtype)
+        assert new.tobytes() == old.tobytes()
+    assert pairs[1][0].flags.c_contiguous
+    t = Tape()
+    xv, pv = t.leaf(x), t.leaf(part)
+    assert _sum(xv, axes).value.tobytes() == pairs[0][0].tobytes()
+    assert _bcast(pv, shape, axes).value.tobytes() == pairs[1][0].tobytes()
 
 
 def _compute_then_drop(monkeypatch):
@@ -691,3 +764,23 @@ def test_second_order_gradient_bitwise_equal_to_compute_then_drop(monkeypatch):
     full, full_len = run()
     assert pruned == full
     assert pruned_len < full_len
+
+
+def test_a_training_step_records_every_op(monkeypatch):
+    # an op no run records is code only its own tests keep alive
+    recorded = set()
+    append = Tape._append
+
+    def spy(tape, op, parents, value, ctx):
+        recorded.add(op)
+        return append(tape, op, parents, value, ctx)
+    monkeypatch.setattr(Tape, "_append", spy)
+    x = np.random.default_rng(2).uniform(0, 1, (6, 3, 6, 6))
+    y = np.arange(6) % 4
+    cfg = TrainConfig(epochs=1, batch_size=len(y), w_js=0, w_lvjp=0, w_adv=0,
+                      pgd_steps=1, probes=ProbeConfig(p_v=1, p_w=1, seed=3),
+                      seed=4)
+    _, log = train_drift(_small_base(seed=2).freeze(),
+                         micro_bank(2, seed=3, hidden=4), (x, y), cfg)
+    assert all(log[0][term] > 0 for term in ("js", "lvjp", "adv"))
+    assert sorted(set(_FORWARD) - recorded) == []
