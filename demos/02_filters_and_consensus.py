@@ -13,7 +13,7 @@ import numpy as np
 from drift.data import generate_synthetic_dataset
 from drift.diagnostics import consensus
 from drift.models import (
-    build_base_model, build_filter_bank, ensemble_forward, pretrain_and_freeze,
+    build_base_model, build_filter_bank, filter_forward_np, pretrain_and_freeze,
 )
 from drift.rng import rng_from
 
@@ -25,7 +25,7 @@ bank = build_filter_bank("res_block", K=3, seed=3)
 
 # Identity at init: the ensemble is literally the base model.
 base_logits = model.forward_np(evl.x)
-ens_logits = ensemble_forward(bank, model, evl.x, mode=("index", 0))
+ens_logits = model.forward_np(filter_forward_np(bank.filters[0], evl.x))
 print(f"max |ensemble - base| at init: {np.abs(ens_logits - base_logits).max():.3e}")
 
 rep = consensus(bank, model, evl, mode="exact")

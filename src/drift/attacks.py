@@ -10,9 +10,14 @@ counted rather than aborting.
 Gradient oracles package the threat model: base-only (the defense ignored),
 a single fixed filter, or the EoT mixture over sampled filters, optionally
 with the backward pass through the filter replaced by identity (BPDA).
+EoT draws are common random numbers: draw j of a sample at step t is keyed
+(seed, sample id, t, j), so every call at the same point sees the same
+filters. One function draws them (eot_draw_counts); the mixture is then
+taken by multiplicity, taped here (_eot_loss_grad) or tape-free in
+diagnostics (_eot_ce_rows).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +43,6 @@ class AttackSpec:
     momentum_decay: float = 1.0
     eot_samples: int = 0      # 0 = non-adaptive (oracle chosen by caller)
     bpda_identity: bool = False
-    crn: bool = True
     query_budget: int = 5000
     seed: int = 0
 
@@ -61,6 +65,9 @@ class AttackSpec:
             raise DomainError("query_budget must be nonnegative")
         if self.bpda_identity and self.eot_samples < 1:
             raise DomainError("bpda_identity needs eot_samples >= 1")
+        if self.kind == "square" and self.eot_samples:
+            raise DomainError("square scores one filter draw per query; "
+                              "eot_samples must be 0")
         if self.kind in ("mim", "square") and self.norm != "linf":
             raise DomainError(f"{self.kind} is defined for the linf norm")
 
@@ -70,11 +77,9 @@ class GradientOracle:
     """Callable (x, y, step) -> (per-sample loss [N], grad [N,...])."""
     kind: str
     fn: object
-    _calls: list = field(default_factory=lambda: [0])
 
     def __call__(self, x, y, step):
-        self._calls[0] += 1
-        return self.fn(x, y, step, self._calls[0])
+        return self.fn(x, y, step)
 
 
 def _batchify(x, y):
@@ -107,7 +112,7 @@ def _pipeline_loss_grad(model, filt, x, y, bpda=False, w=None):
 
 def base_oracle(model):
     """Threat model: attacker differentiates the undefended base model."""
-    def fn(x, y, step, ncall):
+    def fn(x, y, step):
         return _pipeline_loss_grad(model, None, x, y)
     return GradientOracle("base", fn)
 
@@ -118,7 +123,7 @@ def filter_oracle(bank, model, index):
         raise DomainError(f"filter index {index} out of range")
     filt = bank.filters[index]
 
-    def fn(x, y, step, ncall):
+    def fn(x, y, step):
         return _pipeline_loss_grad(model, filt, x, y)
     return GradientOracle(f"filter[{index}]", fn)
 
@@ -136,13 +141,14 @@ def draw_counts(k, keys):
     return counts
 
 
-def eot_draw_counts(k, eot_samples, seed, sample_ids, step, crn=True, ncall=0):
-    """EoT draw counts; draw j of a row is keyed (seed, sample id, step, j),
-    plus the oracle call number when crn is off. Rows that share a sample id
-    share every key, so each distinct id is drawn once."""
-    tail = () if crn else (ncall,)
+def eot_draw_counts(k, eot_samples, seed, sample_ids, step):
+    """EoT draw counts; draw j of a row is keyed (seed, sample id, step, j).
+    Rows that share a sample id share every key, so each distinct id is
+    drawn once."""
+    if eot_samples < 1:
+        raise DomainError("need at least one EoT sample")
     ids, row_of = np.unique(np.asarray(sample_ids), return_inverse=True)
-    return draw_counts(k, [[[seed, EOT_TAG, int(s), step, j, *tail]
+    return draw_counts(k, [[[seed, EOT_TAG, int(s), step, j]
                             for j in range(eot_samples)] for s in ids])[row_of]
 
 
@@ -160,40 +166,17 @@ def _eot_loss_grad(bank, model, x, y, counts, eot_samples, bpda):
     return loss / eot_samples, g / eot_samples
 
 
-def eot_gradient(bank, model, x, y, K_samples, crn=True, seed=0, step=0,
-                 sample_ids=None, bpda=False):
-    """Monte-Carlo mean of the defended input gradient over filter draws.
-
-    Computed by multiplicity: with c_i of the M draws landing on filter i,
-    the mean is sum_i (c_i/M) grad L_i, one taped pass per drawn filter.
-    With crn the draws are a pure function of (seed, sample id, step, draw
-    index), so repeated calls at the same point reuse the same filters.
-    """
-    if K_samples < 1:
-        raise DomainError("need at least one EoT sample")
-    xb, yb, single = _batchify(x, y)
-    ids = np.arange(xb.shape[0]) if sample_ids is None else np.asarray(sample_ids)
-    counts = eot_draw_counts(bank.k, K_samples, seed, ids, step, crn)
-    _, g = _eot_loss_grad(bank, model, xb, yb, counts, K_samples, bpda)
-    return g[0] if single else g
-
-
-def eot_oracle(bank, model, eot_samples, crn=True, seed=0, sample_ids=None,
-               bpda=False):
+def eot_oracle(bank, model, eot_samples, seed=0, sample_ids=None, bpda=False):
     """Adaptive threat model: EoT mixture gradient, optional BPDA backward.
 
     Loss and gradient are sum_i (c_i/M) (L_i, grad L_i) over the filters
-    the M draws landed on, one taped pass per drawn filter. With crn the draws
-    are those of eot_gradient and eot_loss_rows at the same (seed, sample
-    id, step); without crn they are also keyed by the oracle call number.
+    the M draws landed on, one taped pass per drawn filter. The draws are
+    those of eot_loss_rows at the same (seed, sample id, step), so two calls
+    at the same step return the same loss and gradient.
     """
-    if eot_samples < 1:
-        raise DomainError("need at least one EoT sample")
-
-    def fn(x, y, step, ncall):
+    def fn(x, y, step):
         ids = np.arange(x.shape[0]) if sample_ids is None else sample_ids
-        counts = eot_draw_counts(bank.k, eot_samples, seed, ids, step, crn,
-                                 ncall)
+        counts = eot_draw_counts(bank.k, eot_samples, seed, ids, step)
         return _eot_loss_grad(bank, model, x, y, counts, eot_samples, bpda)
     name = f"eot{eot_samples}" + ("+bpda" if bpda else "")
     return GradientOracle(name, fn)
@@ -360,8 +343,8 @@ def adaptive_attack(bank, model, x, y, spec, telemetry=None):
         raise DomainError("adaptive attack needs eot_samples >= 1")
     if spec.kind not in ("pgd", "mim"):
         raise DomainError("adaptive attack drives pgd or mim")
-    oracle = eot_oracle(bank, model, spec.eot_samples, crn=spec.crn,
-                        seed=spec.seed, bpda=spec.bpda_identity)
+    oracle = eot_oracle(bank, model, spec.eot_samples, seed=spec.seed,
+                        bpda=spec.bpda_identity)
     runner = pgd if spec.kind == "pgd" else mim
     return runner(oracle, x, y, spec, telemetry=telemetry)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import (
-    _pipeline_loss_grad, eot_draw_counts, eot_gradient, filter_oracle, pgd,
+    _eot_loss_grad, _pipeline_loss_grad, eot_draw_counts, filter_oracle, pgd,
 )
 from .data import as_xy
 from .errors import DomainError
@@ -127,8 +127,8 @@ def eot_loss_rows(bank, model, x, y, eot_k, seed=0, step=0, sample_ids=None):
     """Per-row cross-entropy averaged over the EoT filter draws.
 
     Computed by multiplicity: sum_i (c_i/M) L_i, one tape-free forward per
-    drawn filter. Draws are keyed exactly like the CRN EoT gradient path,
-    so the value is the function whose gradient eot_gradient returns.
+    drawn filter. Draws are keyed exactly like the EoT oracle's, so the
+    value is the function whose gradient eot_oracle returns.
     """
     ids = np.arange(x.shape[0]) if sample_ids is None else sample_ids
     counts = eot_draw_counts(bank.k, eot_k, seed, ids, step)
@@ -197,8 +197,8 @@ def directional_mismatch(bank, model, dataset, etas=(1e-2, 1e-3, 1e-4),
         x = x_all[r:r + 1]
         y = y_all[r:r + 1]
         sid = ids[r:r + 1]
-        g = eot_gradient(bank, model, x, y, eot_k, crn=True, seed=seed,
-                         step=0, sample_ids=sid)[0]
+        counts = eot_draw_counts(bank.k, eot_k, seed, sid, 0)
+        g = _eot_loss_grad(bank, model, x, y, counts, eot_k, False)[1][0]
         norms.append(float(np.linalg.norm(g)))
         # one batched loss evaluation for all (direction, eta, sign) points,
         # all under the sample's id, so its draws are made once
@@ -231,13 +231,13 @@ def directional_mismatch(bank, model, dataset, etas=(1e-2, 1e-3, 1e-4),
                          n_dirs=n_dirs, eot_k=eot_k)
 
 
-def gradient_norm_stats(bank, model, dataset, eot_k=128, crn=True, seed=0):
+def gradient_norm_stats(bank, model, dataset, eot_k=128, seed=0):
     """L2 norms of per-sample EoT input gradients: {median, p05, p95}."""
     x_all, y_all, ids = as_xy(dataset)
     if len(y_all) == 0:
         raise DomainError("gradient_norm_stats needs a nonempty dataset")
-    g = eot_gradient(bank, model, x_all, y_all, eot_k, crn=crn, seed=seed,
-                     step=0, sample_ids=ids)
+    counts = eot_draw_counts(bank.k, eot_k, seed, ids, 0)
+    _, g = _eot_loss_grad(bank, model, x_all, y_all, counts, eot_k, False)
     norms = _row_norms(g)
     return {
         "median": float(np.median(norms)),

@@ -269,7 +269,7 @@ def _check_unique_labels(attack_specs):
 
 
 def stochastic_predict(bank, model, x, sample_ids, seed, step=0):
-    """One fresh filter draw per sample; returns (predictions, margins)."""
+    """One fresh filter draw per sample; returns (predictions, logits)."""
     counts = draw_counts(bank.k, [[[seed, INFERENCE_TAG, int(s), step]]
                                   for s in sample_ids])
     logits = routed_forward(bank, model, x, counts)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteLoss, ShapeError
+from .errors import DomainError, NonFiniteLoss
 from .models import base_apply, bind_params, filter_apply
 from .rng import rng_from
 from .tape import (
@@ -62,20 +62,6 @@ class LossBreakdown:
 
 NORM_GUARD = 1e-10    # below this, a VJP carries no usable direction
 DENOM_EPS = 1e-12
-
-
-def cos_sq(a, b):
-    """Squared cosine of two arrays; 0 when either is numerically zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"cos_sq: shapes {a.shape} and {b.shape} differ")
-    na = np.linalg.norm(a.ravel())
-    nb = np.linalg.norm(b.ravel())
-    if na < NORM_GUARD or nb < NORM_GUARD:
-        return 0.0
-    r = float(np.vdot(a, b)) / (na * nb + DENOM_EPS)
-    return r * r
 
 
 def cos_sq_rows(a, b):

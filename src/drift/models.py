@@ -191,9 +191,6 @@ class Filter:
     arch: FilterArch
     params: dict = field(default_factory=dict)
 
-    def checksum(self):
-        return param_checksum(self.params)
-
 
 def _delta_kernel(channels):
     k = np.zeros((channels, channels, 3, 3))
@@ -278,12 +275,6 @@ class FilterBank:
     def k(self):
         return len(self.filters)
 
-    def checksum(self):
-        h = hashlib.sha256()
-        for f in self.filters:
-            h.update(f.checksum().encode())
-        return h.hexdigest()
-
 
 def build_filter_bank(arch, K, seed, channels=3):
     """K identity-initialized filters with per-filter seed streams."""
@@ -318,21 +309,3 @@ def routed_forward(bank, model, x, counts):
     for i, rows in route_rows(counts):
         out[rows] = model.forward_np(filter_forward_np(bank.filters[i], x[rows]))
     return out
-
-
-def ensemble_forward(bank, model, x, mode="identity"):
-    """Forward through one fixed path then M (tape-free).
-
-    mode: "identity" | ("index", i). Stochastic inference, one filter draw
-    per sample, is harness.stochastic_predict.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "identity":
-        return model.forward_np(x)
-    if not (isinstance(mode, (tuple, list)) and len(mode) == 2
-            and mode[0] == "index"):
-        raise DomainError(f"unknown ensemble_forward mode {mode!r}")
-    i = int(mode[1])
-    if not 0 <= i < bank.k:
-        raise DomainError(f"filter index {i} out of range for K={bank.k}")
-    return model.forward_np(filter_forward_np(bank.filters[i], x))

@@ -47,8 +47,9 @@ class Tape:
     """Append-only record of one forward (and backward) computation.
 
     Tapes are cheap; make one per forward pass and drop it. Nodes only ever
-    reference earlier nodes, so replaying in index order reproduces every
-    stored value bitwise.
+    reference earlier nodes, so recomputing the non-leaf nodes in index
+    order, each by its op's forward kernel, reproduces every stored value
+    bitwise.
     """
 
     def __init__(self):
@@ -77,21 +78,6 @@ class Tape:
         vals = [p.value for p in parent_vars]
         value = _FORWARD[op](vals, ctx)
         return self._append(op, tuple(p.index for p in parent_vars), value, ctx)
-
-    def replay(self):
-        """Recompute every non-leaf value from its parents.
-
-        Returns True if every recomputed value is bitwise identical to the
-        stored one. Leaves keep their stored values.
-        """
-        for node in self.nodes:
-            if node.op == "leaf":
-                continue
-            vals = [self.nodes[i].value for i in node.parents]
-            redone = _FORWARD[node.op](vals, node.ctx)
-            if redone.tobytes() != node.value.tobytes():
-                return False
-        return True
 
 
 class Var:
@@ -142,7 +128,8 @@ def _check_same_shape(a, b, opname):
 
 # ---------------------------------------------------------------------------
 # Forward kernels. Each takes (parent_values, ctx) and returns a C-contiguous
-# array; keeping them in one registry is what makes Tape.replay possible.
+# array; keeping them in one registry is what lets any node be recomputed from
+# its op, its parents' values and its ctx.
 # ---------------------------------------------------------------------------
 
 def _im2col(x, kh, kw, pad, dtype):

@@ -9,12 +9,27 @@ import numpy as np
 import pytest
 
 from drift.data import generate_synthetic_dataset
+from drift.losses import DENOM_EPS, NORM_GUARD
 from drift.models import (
     BaseClassifier, Filter, FilterArch, FilterBank, build_base_model,
     pretrain_and_freeze,
 )
 
 BIG = 10.0  # bias pinning every ReLU into its linear region on [0,1] inputs
+
+
+def cos_sq(a, b):
+    """Scalar squared cosine of two same-shape arrays; 0 when either is
+    numerically zero. The reference the taped cos_sq_rows and the consensus
+    are held to."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    assert a.shape == b.shape
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < NORM_GUARD or nb < NORM_GUARD:
+        return 0.0
+    r = float(np.vdot(a, b)) / (na * nb + DENOM_EPS)
+    return r * r
 
 
 def delta_kernel(c_out, c_in):

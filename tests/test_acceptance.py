@@ -168,7 +168,7 @@ def test_criterion_1_autodiff_vs_finite_differences():
 # ---------------------------------------------------------------------------
 
 def _linear_oracle(c):
-    def fn(x, y, step, ncall):
+    def fn(x, y, step):
         loss = (x * c).reshape(x.shape[0], -1).sum(axis=1)
         return loss, np.broadcast_to(c, x.shape).copy()
     return GradientOracle("linear", fn)

@@ -9,10 +9,10 @@ from drift import attacks as attacks_module
 from drift.attacks import (
     EOT_TAG, AttackSpec, GradientOracle, _margins, _pipeline_loss_grad,
     adaptive_attack, base_oracle, check_budget, ensemble_margin_score,
-    eot_draw_counts, eot_gradient, eot_oracle, filter_oracle, mim, pgd,
+    eot_draw_counts, eot_oracle, filter_oracle, mim, pgd,
     square_attack,
 )
-from drift.diagnostics import eot_loss_rows
+from drift.diagnostics import eot_loss_rows, gradient_norm_stats
 from drift.models import (
     Filter, FilterArch, FilterBank, base_apply, bind_params, build_base_model,
     build_filter_bank, filter_forward, filter_forward_np, sample_filter_index,
@@ -24,7 +24,7 @@ RNG = np.random.default_rng(1000)
 
 def linear_oracle(c):
     """loss(x) = <c, x> per sample; gradient is the constant field c."""
-    def fn(x, y, step, ncall):
+    def fn(x, y, step):
         loss = (x * c).reshape(x.shape[0], -1).sum(axis=1)
         return loss, np.broadcast_to(c, x.shape).copy()
     return GradientOracle("linear", fn)
@@ -49,6 +49,15 @@ def test_attack_spec_defaults_and_validation():
                             ({"bpda_identity": True}, "bpda_identity")):
         with pytest.raises(DomainError, match=message):
             AttackSpec(**kwargs)
+
+
+def test_square_spec_rejects_eot_samples():
+    # Square scores one filter draw per query: an EoT count would be recorded
+    # in attacks.csv for an attack that never ran EoT
+    assert AttackSpec(kind="square", eot_samples=0).eot_samples == 0
+    for m in (1, 5):
+        with pytest.raises(DomainError, match="eot_samples must be 0"):
+            AttackSpec(kind="square", eot_samples=m)
 
 
 # -- pgd ----------------------------------------------------------------------
@@ -76,7 +85,7 @@ def test_pgd_zero_gradient_zero_delta():
 
 
 def test_pgd_nonfinite_gradient_sanitized():
-    def fn(x, y, step, ncall):
+    def fn(x, y, step):
         g = np.full(x.shape, np.nan)
         return np.zeros(x.shape[0]), g
     telemetry = {}
@@ -169,7 +178,7 @@ def test_mim_oscillating_gradients_match_hand_simulation():
     gs = [np.array([[[1.0, -1.0]]]), np.array([[[-1.0, -1.0]]]),
           np.array([[[1.0, -1.0]]]), np.array([[[-1.0, -1.0]]])]
 
-    def fn(x, y, step, ncall):
+    def fn(x, y, step):
         g = gs[step][None]
         return np.zeros(1), g.copy()
 
@@ -269,19 +278,40 @@ def test_adaptive_bpda_identity_bank_matches_base_attack(attack_setup):
 
 # -- eot gradient -------------------------------------------------------------
 
+def eot_grad(bank, model, x, y, eot_samples, seed, step=0):
+    return eot_oracle(bank, model, eot_samples, seed=seed)(x, y, step)[1]
+
+
 def test_eot_gradient_crn_repeatable(attack_setup):
+    # draws are keyed by (seed, sample id, step, draw) alone, so a repeated
+    # call at the same step, on the same oracle or a new one, sees the same
+    # filters
     model, bank, x, y = attack_setup
-    g1 = eot_gradient(bank, model, x[:4], y[:4], K_samples=3, crn=True, seed=2)
-    g2 = eot_gradient(bank, model, x[:4], y[:4], K_samples=3, crn=True, seed=2)
-    assert g1.tobytes() == g2.tobytes()
+    oracle = eot_oracle(bank, model, 5, seed=2)
+    first = [oracle(x[:6], y[:6], t) for t in (0, 1)]
+    again = [oracle(x[:6], y[:6], t) for t in (0, 1)]
+    fresh = [eot_oracle(bank, model, 5, seed=2)(x[:6], y[:6], t) for t in (0, 1)]
+    for (l1, g1), (l2, g2), (l3, g3) in zip(first, again, fresh):
+        assert l1.tobytes() == l2.tobytes() == l3.tobytes()
+        assert g1.tobytes() == g2.tobytes() == g3.tobytes()
+
+
+def test_eot_sample_count_must_be_positive(attack_setup):
+    # the one draw function rejects it, so every EoT path does
+    model, bank, x, y = attack_setup
+    for run in (lambda: eot_draw_counts(bank.k, 0, 0, [0], 0),
+                lambda: eot_oracle(bank, model, 0)(x[:2], y[:2], 0),
+                lambda: gradient_norm_stats(bank, model, (x[:2], y[:2]), eot_k=0)):
+        with pytest.raises(DomainError, match="at least one EoT sample"):
+            run()
 
 
 def test_eot_gradient_k1_bank(attack_setup):
     model, _, x, y = attack_setup
     f = micro_bank(1, seed=60, hidden=16, jitter=0.1).filters[0]
     bank1 = FilterBank([f])
-    g5 = eot_gradient(bank1, model, x[:4], y[:4], K_samples=5, seed=0)
-    g1 = eot_gradient(bank1, model, x[:4], y[:4], K_samples=1, seed=0)
+    g5 = eot_grad(bank1, model, x[:4], y[:4], 5, seed=0)
+    g1 = eot_grad(bank1, model, x[:4], y[:4], 1, seed=0)
     np.testing.assert_allclose(g5, g1, rtol=1e-12)
 
 
@@ -295,8 +325,7 @@ def test_eot_variance_shrinks_with_samples():
     y = np.array([1])
 
     def first_coord(ks, seed):
-        g = eot_gradient(bank, model, x, y, K_samples=ks, crn=True, seed=seed)
-        return g.ravel()[0]
+        return eot_grad(bank, model, x, y, ks, seed=seed).ravel()[0]
 
     v5 = np.var([first_coord(5, s) for s in range(150)])
     v20 = np.var([first_coord(20, s) for s in range(150)])
@@ -330,13 +359,13 @@ def _one_pipeline(model, filt, x, y, bpda):
     return ce.value[0], g.value[0]
 
 
-def _per_draw_mean(bank, model, x, y, ids, m, seed, step, tail, bpda):
+def _per_draw_mean(bank, model, x, y, ids, m, seed, step, bpda):
     """The EoT mean as defined: one filter draw at a time, then / M."""
     loss = np.zeros(len(y))
     g = np.zeros_like(x)
     for r, s in enumerate(ids):
         for j in range(m):
-            i = sample_filter_index(bank.k, [seed, EOT_TAG, int(s), step, j, *tail])
+            i = sample_filter_index(bank.k, [seed, EOT_TAG, int(s), step, j])
             l_r, g_r = _one_pipeline(model, bank.filters[i], x[r:r + 1],
                                      y[r:r + 1], bpda)
             loss[r] += l_r
@@ -345,27 +374,22 @@ def _per_draw_mean(bank, model, x, y, ids, m, seed, step, tail, bpda):
 
 
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("crn", [True, False])
+@pytest.mark.parametrize("called_before", [True, False])
 @pytest.mark.parametrize("bpda", [False, True])
-def test_eot_by_multiplicity_equals_per_draw_mean(eot_setup, k, crn, bpda):
+def test_eot_by_multiplicity_equals_per_draw_mean(eot_setup, k, called_before,
+                                                  bpda):
+    # the oracle holds no call state: an earlier call at another step leaves
+    # the draws at this one as they are
     model, banks, x, y, ids = eot_setup
     bank, m, seed, step = banks[k], 7, 6, 2
-    oracle = eot_oracle(bank, model, m, crn=crn, seed=seed, sample_ids=ids,
-                        bpda=bpda)
-    oracle(x, y, 0)  # the second call is ncall 2
+    oracle = eot_oracle(bank, model, m, seed=seed, sample_ids=ids, bpda=bpda)
+    if called_before:
+        oracle(x, y, 0)
     loss, g = oracle(x, y, step)
-    tail = () if crn else (2,)
     loss_ref, g_ref = _per_draw_mean(bank, model, x, y, ids, m, seed, step,
-                                     tail, bpda)
+                                     bpda)
     np.testing.assert_allclose(loss, loss_ref, rtol=1e-12)
     np.testing.assert_allclose(g, g_ref, rtol=1e-12,
-                               atol=1e-12 * np.abs(g_ref).max())
-
-    g_eot = eot_gradient(bank, model, x, y, m, crn=crn, seed=seed, step=step,
-                         sample_ids=ids, bpda=bpda)
-    tail = () if crn else (0,)  # eot_gradient keys its draws as call 0
-    _, g_ref = _per_draw_mean(bank, model, x, y, ids, m, seed, step, tail, bpda)
-    np.testing.assert_allclose(g_eot, g_ref, rtol=1e-12,
                                atol=1e-12 * np.abs(g_ref).max())
 
 
@@ -395,18 +419,17 @@ def test_eot_oracle_loss_equals_eot_loss_rows(eot_setup):
     np.testing.assert_allclose(loss, rows, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("crn", [True, False])
-def test_eot_draw_counts_draws_each_distinct_id_once(monkeypatch, crn):
+def test_eot_draw_counts_draws_each_distinct_id_once(monkeypatch):
     ids, k, m = [5, 2, 5, 5, 2], 3, 6
     one_at_a_time = np.concatenate(
-        [eot_draw_counts(k, m, 4, [s], 1, crn, ncall=2) for s in ids])
+        [eot_draw_counts(k, m, 4, [s], 1) for s in ids])
     keys = []
 
     def counting(k, seed):
         keys.append(tuple(seed))
         return sample_filter_index(k, seed)
     monkeypatch.setattr(attacks_module, "sample_filter_index", counting)
-    got = eot_draw_counts(k, m, 4, ids, 1, crn, ncall=2)
+    got = eot_draw_counts(k, m, 4, ids, 1)
     np.testing.assert_array_equal(got, one_at_a_time)
     assert len(keys) == len(set(keys)) == 2 * m
 

@@ -64,6 +64,15 @@ def test_attack_bpda_without_eot_exits_2(trained_run, capsys):
     assert set(trained_run.glob("attack_*.csv")) == before
 
 
+def test_square_attack_with_eot_exits_2(trained_run, capsys):
+    ckpt = str(trained_run / "checkpoint.dtns")
+    before = set(trained_run.glob("attack_*.csv"))
+    assert main(["attack", "--checkpoint", ckpt, "--attack", "square",
+                 "--eps", "0.03", "--steps", "1", "--eot", "5"]) == 2
+    assert "eot_samples must be 0" in capsys.readouterr().err
+    assert set(trained_run.glob("attack_*.csv")) == before
+
+
 def test_square_attack_subcommand(trained_run):
     ckpt = str(trained_run / "checkpoint.dtns")
     assert main(["attack", "--checkpoint", ckpt, "--attack", "square",

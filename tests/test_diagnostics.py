@@ -15,7 +15,7 @@ from drift.diagnostics import (
     orthonormal_directions, probe_variance_study, transfer_matrix,
 )
 from drift.errors import DomainError
-from drift.losses import NORM_GUARD, cos_sq, draw_logit_probes
+from drift.losses import NORM_GUARD, draw_logit_probes
 from drift.models import (
     Filter, FilterArch, FilterBank, base_apply, bind_params,
     build_base_model, build_filter_bank, filter_forward, sample_filter_index,
@@ -23,7 +23,7 @@ from drift.models import (
 from drift.tape import Tape, cross_entropy_rows, dot_rows, grad, sum_all
 
 from conftest import (
-    delta_kernel, linear_logit_model, micro_bank, projection_filter,
+    cos_sq, delta_kernel, linear_logit_model, micro_bank, projection_filter,
 )
 
 RNG = np.random.default_rng(33)

@@ -148,7 +148,7 @@ def test_default_config_is_complete():
 
 
 def test_config_rejects_attacks_sharing_a_label():
-    # steps, crn and seed are not in the label, so these pairs would overwrite
+    # steps and seed are not in the label, so these pairs would overwrite
     # each other's robust_accuracy entry
     with pytest.raises(DomainError, match=r"config attacks\[0\] and attacks\[1\] "
                                           r"share the label pgd-linf-eps0.0156863$"):
@@ -157,7 +157,7 @@ def test_config_rejects_attacks_sharing_a_label():
     with pytest.raises(DomainError, match=r"attacks\[1\] and attacks\[2\] share "
                                           r"the label pgd-linf-eps0.0156863-eot5$"):
         config_from_dict({"attacks": [{"kind": "mim"},
-                                      {"kind": "pgd", "eot_samples": 5, "crn": False},
+                                      {"kind": "pgd", "eot_samples": 5, "seed": 7},
                                       {"kind": "pgd", "eot_samples": 5}]})
 
 
@@ -284,6 +284,19 @@ def test_metrics_json_matches_record(micro_run):
     _, metrics, out = micro_run
     on_disk = json.loads((out / "metrics.json").read_text())
     assert on_disk == metrics.to_dict()
+
+
+def test_manifest_with_a_crn_key_is_rejected(micro_run, tmp_path):
+    # EoT draws have one stream, common random numbers, and no crn option;
+    # a manifest written while AttackSpec had one is rejected, key path named
+    _, _, out = micro_run
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["attacks"][0]["crn"] = True
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DomainError, match=r"^unknown config key attacks\[0\]\.crn$"):
+        rerun_from_manifest(path, tmp_path / "rerun")
+    assert not (tmp_path / "rerun").exists()
 
 
 def test_manifest_rerun_reproduces_numbers(micro_run, tmp_path):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    affine_res_filter, identity_filter, linear_base_model, micro_bank,
+    affine_res_filter, cos_sq, identity_filter, linear_base_model, micro_bank,
     negation_filter, projection_filter,
 )
 from drift import NonFiniteLoss
 from drift.losses import (
-    LossBreakdown, LossWeights, adv_component, bind_bank, ce_component, cos_sq,
+    LossBreakdown, LossWeights, adv_component, bind_bank, ce_component,
     cos_sq_rows, draw_input_probes, draw_logit_probes, js_component,
     lvjp_component, total_loss,
 )

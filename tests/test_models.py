@@ -8,8 +8,8 @@ from drift.data import generate_synthetic_dataset
 from drift.harness import stochastic_predict
 from drift.models import (
     FilterArch, bind_params, build_base_model, build_filter_bank,
-    base_apply, ensemble_forward, filter_forward, filter_forward_np,
-    filter_param_count, init_filter_identity, pretrain_and_freeze,
+    base_apply, filter_forward, filter_forward_np, filter_param_count,
+    init_filter_identity, param_checksum, pretrain_and_freeze,
     sample_filter_index,
 )
 from drift.rng import rng_from
@@ -64,7 +64,7 @@ def test_res_block_identity_init_bitwise():
 def test_identity_init_seeds_differ_but_both_identity():
     f1 = init_filter_identity("res_block", seed=1)
     f2 = init_filter_identity("res_block", seed=2)
-    assert f1.checksum() != f2.checksum()
+    assert param_checksum(f1.params) != param_checksum(f2.params)
     x = RNG.uniform(0, 1, (3, 8, 8))
     assert filter_forward_np(f1, x).tobytes() == filter_forward_np(f2, x).tobytes()
 
@@ -223,31 +223,6 @@ def test_separable_blobs_perfect_accuracy():
     m = pretrain_and_freeze(m, (tr.x, tr.y), epochs=30, lr=1e-3)
     pred = m.forward_np(tr.x).argmax(axis=1)
     assert (pred == tr.y).mean() == 1.0
-
-
-# -- ensemble forward ---------------------------------------------------------
-
-def test_identity_mode_matches_base(desk):
-    model, _, eval_ = desk
-    bank = build_filter_bank("res_block", 4, seed=0)
-    x = eval_.x[0]
-    np.testing.assert_array_equal(
-        ensemble_forward(bank, model, x, "identity"), model.forward_np(x))
-
-
-def test_index_mode_and_bad_index(desk):
-    model, _, eval_ = desk
-    bank = build_filter_bank("res_block", 4, seed=0)
-    x = eval_.x[0]
-    out = ensemble_forward(bank, model, x, ("index", 2))
-    np.testing.assert_array_equal(
-        out, model.forward_np(filter_forward_np(bank.filters[2], x)))
-    with pytest.raises(DomainError):
-        ensemble_forward(bank, model, x, ("index", 4))
-    # stochastic inference is harness.stochastic_predict
-    for mode in (("sample", 123), "sample", ("index",)):
-        with pytest.raises(DomainError, match="unknown ensemble_forward mode"):
-            ensemble_forward(bank, model, x, mode)
 
 
 def test_sample_mode_k1_always_filter_zero():
