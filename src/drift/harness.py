@@ -268,9 +268,10 @@ def _check_unique_labels(attack_specs):
             raise DomainError(f"config attacks[{i}] and attacks[{j}] share the label {label}")
 
 
-def stochastic_predict(bank, model, x, sample_ids, seed, step=0):
-    """One fresh filter draw per sample; returns (predictions, logits)."""
-    counts = draw_counts(bank.k, [[[seed, INFERENCE_TAG, int(s), step]]
+def stochastic_predict(bank, model, x, sample_ids, seed):
+    """One fresh filter draw per sample, keyed (seed, tag, sample id, 0);
+    returns (predictions, logits)."""
+    counts = draw_counts(bank.k, [[[seed, INFERENCE_TAG, int(s), 0]]
                                   for s in sample_ids])
     logits = routed_forward(bank, model, x, counts)
     return logits.argmax(axis=1), logits

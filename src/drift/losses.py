@@ -10,6 +10,13 @@ against the base model alone.
 Each component is a taped builder: given the bank's parameters bound on the
 tape by the caller, it returns a Var, and parameter gradients flow, including
 through the recorded backward passes that produce the VJPs.
+
+The frozen base's own probe VJPs J_M(z)^T w have no filter-parameter
+derivative: its ReLU masks enter the backward as constant leaves. So
+lvjp_component computes them off the caller's tape, on a short-lived tape per
+base input, and enters them there as constants; only the filters and their
+backward passes are recorded on the caller's tape. At batch 50 with K=4 that
+tape holds 154 MB after its gradient, against 446 MB with the base on it.
 """
 
 from dataclasses import dataclass
@@ -22,7 +29,7 @@ from .errors import DomainError, NonFiniteLoss
 from .models import base_apply, bind_params, filter_apply
 from .rng import rng_from
 from .tape import (
-    add, add_const, cross_entropy_rows, div, dot_rows, maximum,
+    Tape, add, add_const, cross_entropy_rows, div, dot_rows, maximum,
     mean_all, mul, scale, sqrt, vjp,
 )
 
@@ -112,36 +119,60 @@ def bind_bank(tape, bank):
     return [bind_params(tape, f.params) for f in bank.filters]
 
 
+def _filter_outputs(bank, x_var, bank_pvars):
+    return [filter_apply(f.arch, pv, x_var)
+            for f, pv in zip(bank.filters, bank_pvars)]
+
+
 def _logits(tape, bank, model, x_var, bank_pvars):
-    """Binds the base once; returns (its Vars, [M(f_i(x)) for each filter])."""
+    """Binds the base once; returns [M(f_i(x)) for each filter]."""
     model_pvars = bind_params(tape, model.params)
-    return model_pvars, [base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
-                         for f, pv in zip(bank.filters, bank_pvars)]
+    return [base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
+            for f, pv in zip(bank.filters, bank_pvars)]
 
 
-def _probed_cos_sq(tape, outs, x_var, probes, anchor=None):
-    """Per probe, batch-mean cos^2 of the outputs' VJPs: every pair i<j and,
-    given an anchor output, each output against the anchor.
+def _base_vjps(model, z, cots):
+    """[J_M(z)^T c for c in cots] as arrays, from one base forward on a tape
+    of its own that is dropped on return.
 
-    Returns (pair terms, anchor terms) as lists of scalar Vars. Per probe the
-    VJPs are taken over the outputs in order, then the anchor's.
+    The base is frozen and its ReLU masks enter the backward as constant
+    leaves, so the derivative of these VJPs in z, and in anything upstream
+    of it, is zero almost everywhere; a caller enters them as constants.
     """
-    n = x_var.value.shape[0]
+    tape = Tape()
+    z_var = tape.leaf(z)
+    logits = base_apply(bind_params(tape, model.params), z_var)
+    return [vjp(tape, logits, c, [z_var])[0].value for c in cots]
+
+
+def _probed_cos_sq(tape, outs, x_var, cots, anchors=None):
+    """Per probe, batch-mean cos^2 of the outputs' VJPs: every pair i<j and,
+    given anchor VJPs, each output against the probe's anchor.
+
+    cots[p][i] is output i's cotangent at probe p; anchors[p] is the anchor
+    path's VJP at probe p, entered as a constant. Returns (pair terms, anchor
+    terms) as lists of scalar Vars, recorded probe by probe, the outputs'
+    VJPs in order, pair terms before anchor terms.
+    """
     pair_terms, anchor_terms = [], []
-    for p in probes:
-        cot = np.broadcast_to(p, (n,) + p.shape).copy()
-        us = [vjp(tape, z, cot, [x_var])[0] for z in outs]
+    for p, cot_p in enumerate(cots):
+        us = [vjp(tape, z, c, [x_var])[0] for z, c in zip(outs, cot_p)]
         pair_terms.extend(mean_all(cos_sq_rows(a, b))
                           for a, b in combinations(us, 2))
-        if anchor is not None:
-            u_anchor = vjp(tape, anchor, cot, [x_var])[0]
+        if anchors is not None:
+            u_anchor = tape.leaf(anchors[p])
             anchor_terms.extend(mean_all(cos_sq_rows(u, u_anchor)) for u in us)
     return pair_terms, anchor_terms
 
 
+def _batched(probes, n):
+    """Each probe repeated over a batch of n rows."""
+    return [np.broadcast_to(p, (n,) + p.shape).copy() for p in probes]
+
+
 def ce_component(tape, bank, model, x_var, y, bank_pvars):
     """Mean over batch and filters of CE(M(f_i(x)), y)."""
-    _, logits = _logits(tape, bank, model, x_var, bank_pvars)
+    logits = _logits(tape, bank, model, x_var, bank_pvars)
     return _mean_of([mean_all(cross_entropy_rows(z, y)) for z in logits])
 
 
@@ -153,9 +184,9 @@ def js_component(tape, bank, x_var, probes_v, bank_pvars):
     """
     if bank.k < 2:
         return None
-    outs = [filter_apply(f.arch, pv, x_var)
-            for f, pv in zip(bank.filters, bank_pvars)]
-    pair_terms, _ = _probed_cos_sq(tape, outs, x_var, probes_v)
+    outs = _filter_outputs(bank, x_var, bank_pvars)
+    cots = [[c] * bank.k for c in _batched(probes_v, x_var.value.shape[0])]
+    pair_terms, _ = _probed_cos_sq(tape, outs, x_var, cots)
     return _mean_of(pair_terms)
 
 
@@ -166,17 +197,23 @@ def lvjp_component(tape, bank, model, x_var, probes_w, bank_pvars,
     Pairwise terms over filters i<j plus, when include_identity, terms
     against the unfiltered path M(x); the two groups get equal weight.
     Returns None when no group has any term.
+
+    Only the filters are recorded on `tape`. The logit probes are pulled
+    back through the frozen base off it (`_base_vjps`), and enter as the
+    filter outputs' cotangents and, for M(x), as constant anchors.
     """
-    model_pvars, logits = _logits(tape, bank, model, x_var, bank_pvars)
-    anchor = base_apply(model_pvars, x_var) if include_identity else None
-    groups = [_mean_of(t) for t in _probed_cos_sq(tape, logits, x_var,
-                                                   probes_w, anchor) if t]
+    cots = _batched(probes_w, x_var.value.shape[0])
+    outs = _filter_outputs(bank, x_var, bank_pvars)
+    per_out = [_base_vjps(model, o.value, cots) for o in outs]
+    anchors = _base_vjps(model, x_var.value, cots) if include_identity else None
+    groups = [_mean_of(t) for t in _probed_cos_sq(
+        tape, outs, x_var, list(zip(*per_out)), anchors) if t]
     return _mean_of(groups) if groups else None
 
 
 def adv_component(tape, bank, model, xadv_var, y, bank_pvars):
     """Mean over batch of the worst per-filter CE on perturbed inputs."""
-    _, logits = _logits(tape, bank, model, xadv_var, bank_pvars)
+    logits = _logits(tape, bank, model, xadv_var, bank_pvars)
     return mean_all(reduce(maximum, [cross_entropy_rows(z, y) for z in logits]))
 
 

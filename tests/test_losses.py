@@ -11,9 +11,9 @@ from conftest import (
 )
 from drift import NonFiniteLoss
 from drift.losses import (
-    LossBreakdown, LossWeights, adv_component, bind_bank, ce_component,
-    cos_sq_rows, draw_input_probes, draw_logit_probes, js_component,
-    lvjp_component, total_loss,
+    LossBreakdown, LossWeights, _base_vjps, adv_component, bind_bank,
+    ce_component, cos_sq_rows, draw_input_probes, draw_logit_probes,
+    js_component, lvjp_component, total_loss,
 )
 from drift.models import (
     FilterBank, base_apply, bind_params, build_base_model, build_filter_bank,
@@ -444,11 +444,59 @@ def test_components_match_reference_builders(component, k):
         return out.value, gs, len(tape.nodes)
 
     new, ref = (run(b) for b in builders[component])
-    assert new[2] == ref[2]
+    if component.startswith("lvjp"):
+        # the frozen base runs off the caller's tape
+        assert new[2] < ref[2]
+    else:
+        assert new[2] == ref[2]
     if ref[0] is None:
         assert new[0] is None
         return
     assert new[0].tobytes() == ref[0].tobytes()
     assert len(new[1]) == len(ref[1]) == sum(len(f.params) for f in bank.filters)
     for a, b in zip(new[1], ref[1]):
+        assert a.tobytes() == b.tobytes()
+
+
+def _base_leaves(tape, model):
+    """Leaves on tape that hold one of the base's parameter arrays."""
+    arrays = [id(a) for a in model.params.values()]
+    return [n for n in tape.nodes if n.op == "leaf" and id(n.value) in arrays]
+
+
+@pytest.mark.parametrize("include_identity", [True, False])
+def test_lvjp_records_no_base_on_the_callers_tape(include_identity):
+    model = build_base_model((3, 4, 4), 3, seed=40, channels=(4, 4))
+    model.freeze()
+    bank = micro_bank(3, seed=41, hidden=4, jitter=0.15)
+    x = np.random.default_rng(42).uniform(0.1, 0.9, (3, 3, 4, 4))
+    probes_w = draw_logit_probes(2, 3, seed=43)
+
+    def tape_after(build):
+        tape = Tape()
+        pvars = bind_bank(tape, bank)
+        out = build(tape, bank, model, tape.leaf(x), probes_w, pvars,
+                    include_identity)
+        grad(tape, out, [v for pv in pvars for v in pv.values()])
+        return tape
+
+    # the check sees the base where the full-tape reference binds it
+    assert _base_leaves(tape_after(_reference_lvjp), model)
+    assert _base_leaves(tape_after(lvjp_component), model) == []
+
+
+def test_base_vjps_match_one_tape():
+    model = build_base_model((3, 4, 4), 3, seed=44, channels=(4, 4))
+    model.freeze()
+    z = np.random.default_rng(45).uniform(-0.5, 1.5, (5, 3, 4, 4))
+    cots = [np.random.default_rng(46 + i).standard_normal((5, 3))
+            for i in range(4)]
+    t = Tape()
+    z_var = t.leaf(z)
+    logits = base_apply(bind_params(t, model.params), z_var)
+    want = [vjp(t, logits, c, [z_var])[0].value for c in cots]
+    got = _base_vjps(model, z, cots)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == z.shape
         assert a.tobytes() == b.tobytes()
