@@ -120,9 +120,12 @@ def cmd_report(args):
             row("mean off-diagonal consensus", f"{gamma:.6f}")
         for stage, secs in sorted(metrics.get("timings", {}).items()):
             row(f"time (s) {stage}", f"{secs:.2f}")
+        for stage, faults in sorted(metrics.get("page_faults", {}).items()):
+            row(f"page faults {stage}", faults)
     attacks_path = run / "attacks.csv"
     if attacks_path.exists():
-        n_rows = sum(1 for _ in open(attacks_path)) - 1
+        with open(attacks_path) as fh:
+            n_rows = sum(1 for _ in fh) - 1
         row("attack rows", n_rows)
     extra = sorted(p.name for p in run.iterdir()
                    if p.suffix in (".json", ".csv")

@@ -3,11 +3,13 @@
 A run is: dataset -> pretrain/freeze base -> train the bank -> attacks ->
 diagnostics, with a DTNS checkpoint, CSV/JSON reports, and a manifest that
 can reproduce every numeric output exactly. All stages are deterministic
-given the resolved config, so rerunning is idempotent (timings aside).
+given the resolved config, so rerunning is idempotent (each stage's seconds
+and minor page faults aside).
 """
 
 import json
 import os
+import resource
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -225,6 +227,7 @@ class MetricsRecord:
     robust_accuracy: dict
     consensus_mean_offdiag: float = None
     timings: dict = field(default_factory=dict)
+    page_faults: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for label, v in dict(self.robust_accuracy, clean=self.clean_accuracy).items():
@@ -241,6 +244,7 @@ class MetricsRecord:
         }
         if include_timings:
             d["timings"] = dict(self.timings)
+            d["page_faults"] = dict(self.page_faults)
         return d
 
     def save_json(self, path):
@@ -458,7 +462,7 @@ def run_experiment(config):
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    timings = {}
+    timings, page_faults = {}, {}
     done = []
 
     def manifest_dict(status):
@@ -470,8 +474,11 @@ def run_experiment(config):
             "config": config.to_dict(),
         }
 
+    def minor_faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
     def stage(name, fn):
-        t0 = time.perf_counter()
+        t0, f0 = time.perf_counter(), minor_faults()
         try:
             result = fn()
         except Exception as exc:
@@ -479,6 +486,7 @@ def run_experiment(config):
                         out / "manifest.json")
             raise StageError(name, repr(exc)) from exc
         timings[name] = time.perf_counter() - t0
+        page_faults[name] = minor_faults() - f0
         done.append(name)
         return result
 
@@ -522,6 +530,7 @@ def run_experiment(config):
     if consensus_report is not None and bank.k >= 2:
         metrics.consensus_mean_offdiag = consensus_report.mean_off_diagonal()
     metrics.timings = timings
+    metrics.page_faults = page_faults
     metrics.save_json(out / "metrics.json")
     _write_json(dict(manifest_dict("complete"), artifacts=files),
                 out / "manifest.json")

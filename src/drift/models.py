@@ -38,10 +38,24 @@ def np_conv2d(x, kernel, bias, padding):
     return y[0] if single else y
 
 
+# (read-only weight, its C-contiguous transpose) from the last np_dense call
+_frozen_wt = (None, None)
+
+
 def np_dense(x, w, b):
+    """Tape-free dense forward. A read-only w (a frozen base's weight) is
+    taken as constant: its contiguous transpose is copied once, not per call."""
+    global _frozen_wt
     single = x.ndim == 1
     xb = x[None] if single else x
-    y = xb @ np.ascontiguousarray(w.T) + np.broadcast_to(b, (xb.shape[0], b.shape[0]))
+    if w.flags.writeable:
+        wt = np.ascontiguousarray(w.T)
+    else:
+        src, wt = _frozen_wt
+        if src is not w:
+            wt = np.ascontiguousarray(w.T)
+            _frozen_wt = (w, wt)
+    y = xb @ wt + np.broadcast_to(b, (xb.shape[0], b.shape[0]))
     return y[0] if single else y
 
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -112,6 +114,16 @@ def test_report_subcommand(trained_run, capsys):
     assert "cli-micro" in out
     assert "clean accuracy" in out
     assert "complete" in out
+    for stage in ("dataset", "pretrain", "train", "attacks", "diagnostics"):
+        assert f"page faults {stage}" in out
+
+
+def test_report_closes_every_file(trained_run, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["report", "--dir", str(trained_run)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):

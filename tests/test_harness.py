@@ -180,10 +180,12 @@ def test_metrics_record_rejects_out_of_range():
 
 
 def test_metrics_record_serializes_without_timings():
-    rec = MetricsRecord("x", 0, 50.0, {"none": 50.0}, timings={"train": 1.0})
+    rec = MetricsRecord("x", 0, 50.0, {"none": 50.0}, timings={"train": 1.0},
+                        page_faults={"train": 7})
     d = rec.to_dict(include_timings=False)
-    assert "timings" not in d
+    assert "timings" not in d and "page_faults" not in d
     assert rec.to_dict()["timings"] == {"train": 1.0}
+    assert rec.to_dict()["page_faults"] == {"train": 7}
 
 
 # -- stochastic inference ----------------------------------------------------
@@ -278,6 +280,9 @@ def test_run_writes_all_artifacts(micro_run):
         "dataset", "pretrain", "train", "attacks", "diagnostics"]
     assert metrics.consensus_mean_offdiag is not None
     assert set(metrics.timings) == set(manifest["stages_completed"])
+    assert set(metrics.page_faults) == set(manifest["stages_completed"])
+    assert all(isinstance(n, int) and n >= 0
+               for n in metrics.page_faults.values())
 
 
 def test_metrics_json_matches_record(micro_run):

@@ -256,3 +256,27 @@ def test_filter_arch_validation():
         FilterArch("resnet50")
     with pytest.raises(DomainError):
         build_filter_bank("res_block", 0, seed=0)
+
+
+def test_np_dense_reuses_a_read_only_transpose_bitwise():
+    # a read-only weight's contiguous transpose is copied once and reused;
+    # a writeable weight is copied on every call, so mutating it is seen
+    from drift.models import np_dense
+    x = RNG.normal(size=(3, 64))
+    w, b = RNG.normal(size=(10, 64)), RNG.normal(size=10)
+
+    def reference(w, x=x):
+        return x @ np.ascontiguousarray(w.T) + np.broadcast_to(b, (len(x), 10))
+
+    frozen = w.copy()
+    frozen.flags.writeable = False
+    for _ in range(2):
+        np.testing.assert_array_equal(np_dense(x, frozen, b), reference(w))
+    np.testing.assert_array_equal(np_dense(x[0], frozen, b),
+                                  reference(w, x[:1])[0])
+    other = w[::-1].copy()
+    other.flags.writeable = False
+    np.testing.assert_array_equal(np_dense(x, other, b), reference(other))
+    np.testing.assert_array_equal(np_dense(x, w, b), reference(w))
+    w[0, 0] += 1.0
+    np.testing.assert_array_equal(np_dense(x, w, b), reference(w))
