@@ -1,11 +1,11 @@
 """White-box, black-box, and adaptive attacks on filtered pipelines.
 
-All attacks work on a single image [C,H,W] or a batch [N,C,H,W]; batch rows
-are independent (per-sample seed streams keyed by sample id, so results do
-not depend on batching or scheduling). Perturbations start at zero (no
-random restart), every iterate is projected onto the norm ball intersected
-with the [0,1] pixel box, and non-finite oracle gradients are zeroed and
-counted rather than aborting.
+All attacks take a batch [N,C,H,W] (an unbatched image raises ShapeError);
+batch rows are independent (per-sample seed streams keyed by sample id, so
+results do not depend on batching or scheduling). Perturbations start at
+zero (no random restart), every iterate is projected onto the norm ball
+intersected with the [0,1] pixel box, and non-finite oracle gradients are
+zeroed rather than aborting.
 
 Gradient oracles package the threat model: base-only (the defense ignored),
 a single fixed filter, or the EoT mixture over sampled filters, optionally
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, ShapeError
 from .models import (
     base_apply, bind_params, filter_forward, filter_forward_np, route_rows,
     routed_forward, sample_filter_index,
@@ -82,11 +82,14 @@ class GradientOracle:
         return self.fn(x, y, step)
 
 
-def _batchify(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 3
-    yb = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    return (x[None] if single else x), yb, single
+def _check_batch(x, y):
+    """A float64 copy of the batch x [N,C,H,W] in [0,1]; y as int64 labels."""
+    x = np.array(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ShapeError(f"attacks expect a batch [N,C,H,W], got shape {x.shape}")
+    if x.min() < -1e-12 or x.max() > 1 + 1e-12:
+        raise DomainError("attack inputs must lie in [0,1]")
+    return x, np.asarray(y, dtype=np.int64)
 
 
 def _pipeline_loss_grad(model, filt, x, y, bpda=False, w=None):
@@ -198,33 +201,21 @@ def _project(delta, x0, spec):
     return np.clip(x0 + delta, 0.0, 1.0) - x0
 
 
-def _check_inputs(x):
-    if x.min() < -1e-12 or x.max() > 1 + 1e-12:
-        raise DomainError("attack inputs must lie in [0,1]")
-
-
-def _ascend(oracle, x, y, spec, telemetry, direction):
+def _ascend(oracle, x, y, spec, direction):
     """Projected ascent from delta = 0, moving by direction(g) each step;
-    returns (x_adv, delta). Non-finite gradient entries are zeroed and counted."""
-    xb, yb, single = _batchify(x, y)
-    _check_inputs(xb)
-    x0 = xb.copy()
+    returns (x_adv, delta). Non-finite gradient entries are zeroed."""
+    x0, yb = _check_batch(x, y)
     delta = np.zeros_like(x0)
-    n_bad = 0
     for t in range(spec.steps):
         _, g = oracle(x0 + delta, yb, t)
         bad = ~np.isfinite(g)
         if bad.any():
-            n_bad += int(bad.sum())
             g = np.where(bad, 0.0, g)
         delta = _project(delta + direction(g), x0, spec)
-    if telemetry is not None:
-        telemetry["n_nonfinite"] = telemetry.get("n_nonfinite", 0) + n_bad
-    x_adv = x0 + delta
-    return (x_adv[0], delta[0]) if single else (x_adv, delta)
+    return x0 + delta, delta
 
 
-def pgd(oracle, x, y, spec, telemetry=None):
+def pgd(oracle, x, y, spec):
     """Projected gradient ascent on the oracle's loss; returns (x_adv, delta)."""
     def direction(g):
         if spec.norm == "linf":
@@ -232,10 +223,10 @@ def pgd(oracle, x, y, spec, telemetry=None):
         flat = g.reshape(g.shape[0], -1)
         norms = np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
         return spec.step_size * g / norms.reshape(-1, *([1] * (g.ndim - 1)))
-    return _ascend(oracle, x, y, spec, telemetry, direction)
+    return _ascend(oracle, x, y, spec, direction)
 
 
-def mim(oracle, x, y, spec, telemetry=None):
+def mim(oracle, x, y, spec):
     """Momentum iterative method; l_inf stepping and projection only."""
     m = 0.0  # the momentum; a scalar zero broadcasts like zeros_like(x)
 
@@ -245,7 +236,7 @@ def mim(oracle, x, y, spec, telemetry=None):
         l1 = np.maximum(flat.sum(axis=1), 1e-300)
         m = spec.momentum_decay * m + g / l1.reshape(-1, *([1] * (g.ndim - 1)))
         return spec.step_size * np.sign(m)
-    return _ascend(oracle, x, y, spec, telemetry, direction)
+    return _ascend(oracle, x, y, spec, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +263,12 @@ def square_attack(score_fn, x, y, spec, sample_ids=None):
     Accepts a proposal only when the margin strictly decreases. Returns
     (x_adv, success flags, queries_used).
     """
-    xb, yb, single = _batchify(x, y)
-    _check_inputs(xb)
-    n, c, h, w = xb.shape
+    x0, yb = _check_batch(x, y)
+    n, c, h, w = x0.shape
     ids = np.arange(n) if sample_ids is None else np.asarray(sample_ids)
     if spec.query_budget < 1:
-        empty = np.zeros(n, dtype=bool)
-        zq = np.zeros(n, dtype=np.int64)
-        return (xb[0], False, 0) if single else (xb.copy(), empty, zq)
+        return x0, np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
 
-    x0 = xb.copy()
     delta = np.zeros_like(x0)
     queries = np.ones(n, dtype=np.int64)
     margins = score_fn(x0, yb, [[spec.seed, SQUARE_TAG, int(s), 0] for s in ids])
@@ -315,10 +302,7 @@ def square_attack(score_fn, x, y, spec, sample_ids=None):
         success |= newly
         active &= ~newly
 
-    x_adv = np.clip(x0 + delta, 0.0, 1.0)
-    if single:
-        return x_adv[0], bool(success[0]), int(queries[0])
-    return x_adv, success, queries
+    return np.clip(x0 + delta, 0.0, 1.0), success, queries
 
 
 def ensemble_margin_score(bank, model):
@@ -337,7 +321,7 @@ def _margins(logits, y):
     return true - rest.max(axis=1)
 
 
-def adaptive_attack(bank, model, x, y, spec, telemetry=None):
+def adaptive_attack(bank, model, x, y, spec):
     """EoT (optionally BPDA) gradient attack on the defended ensemble."""
     if spec.eot_samples < 1:
         raise DomainError("adaptive attack needs eot_samples >= 1")
@@ -346,7 +330,7 @@ def adaptive_attack(bank, model, x, y, spec, telemetry=None):
     oracle = eot_oracle(bank, model, spec.eot_samples, seed=spec.seed,
                         bpda=spec.bpda_identity)
     runner = pgd if spec.kind == "pgd" else mim
-    return runner(oracle, x, y, spec, telemetry=telemetry)
+    return runner(oracle, x, y, spec)
 
 
 def check_budget(delta, spec):

@@ -4,7 +4,6 @@ Everything here is read-only over the models and pure given seeds: calling
 any function twice with the same arguments returns identical reports.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +61,6 @@ class ConsensusReport:
             "probe_seed": self.probe_seed,
             "n_zero_grad": self.n_zero_grad,
         }
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
 
 
 def consensus(bank, model, dataset, mode="exact", probes=40, seed=0):
@@ -157,10 +152,6 @@ class MismatchStats:
             "n_dirs": self.n_dirs,
             "eot_k": self.eot_k,
         }
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
 
 
 def orthonormal_directions(n_dirs, shape, seed):

@@ -108,23 +108,7 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     def to_dict(self):
-        d = {
-            "experiment_id": self.experiment_id,
-            "seed": self.seed,
-            "dataset": asdict(self.dataset),
-            "model": dict(asdict(self.model), channels=list(self.model.channels)),
-            "bank": asdict(self.bank),
-            "train": asdict(self.train),
-            "attacks": [asdict(a) for a in self.attacks],
-            "diagnostics": asdict(self.diagnostics),
-            "inference_seed": self.inference_seed,
-            "out_dir": self.out_dir,
-        }
-        return d
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
+        return asdict(self)
 
 
 def _section(cls, d, path, **defaults):
@@ -246,10 +230,6 @@ class MetricsRecord:
             d["timings"] = dict(self.timings)
             d["page_faults"] = dict(self.page_faults)
         return d
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
 
 
 def attack_label(spec):
@@ -416,14 +396,14 @@ def run_diagnostic(what, bank, model, eval_split, out, seed=0):
     path = out / DIAGNOSTIC_FILES[what]
     if what == "consensus":
         result = consensus(bank, model, eval_split, mode="exact")
-        result.save_json(path)
+        _write_json(result.to_dict(), path)
     elif what == "gradnorm":
         result = gradient_norm_stats(bank, model, eval_split, eot_k=32, seed=seed)
         _write_json(result, path)
     elif what == "mismatch":
         sub = Split(eval_split.x[:16], eval_split.y[:16], eval_split.ids[:16])
         result = directional_mismatch(bank, model, sub, eot_k=128, seed=seed)
-        result.save_json(path)
+        _write_json(result.to_dict(), path)
     elif what == "transfer":
         spec = AttackSpec(kind="pgd", norm="linf", epsilon=8 / 255, steps=10,
                           seed=seed)
@@ -531,7 +511,7 @@ def run_experiment(config):
         metrics.consensus_mean_offdiag = consensus_report.mean_off_diagonal()
     metrics.timings = timings
     metrics.page_faults = page_faults
-    metrics.save_json(out / "metrics.json")
+    _write_json(metrics.to_dict(), out / "metrics.json")
     _write_json(dict(manifest_dict("complete"), artifacts=files),
                 out / "manifest.json")
     return metrics

@@ -31,11 +31,8 @@ FILTER_ARCHS = ("single_conv", "res_block", "deep_conv")
 
 def np_conv2d(x, kernel, bias, padding):
     """Tape-free conv forward; same kernel as the taped op, so bitwise equal."""
-    single = x.ndim == 3
-    xb = x[None] if single else x
-    y = _np_conv([xb, kernel], int(padding))
-    y = y + np.broadcast_to(bias[None, :, None, None], y.shape)
-    return y[0] if single else y
+    y = _np_conv([x, kernel], int(padding))
+    return y + np.broadcast_to(bias[None, :, None, None], y.shape)
 
 
 # (read-only weight, its C-contiguous transpose) from the last np_dense call
@@ -46,8 +43,6 @@ def np_dense(x, w, b):
     """Tape-free dense forward. A read-only w (a frozen base's weight) is
     taken as constant: its contiguous transpose is copied once, not per call."""
     global _frozen_wt
-    single = x.ndim == 1
-    xb = x[None] if single else x
     if w.flags.writeable:
         wt = np.ascontiguousarray(w.T)
     else:
@@ -55,8 +50,7 @@ def np_dense(x, w, b):
         if src is not w:
             wt = np.ascontiguousarray(w.T)
             _frozen_wt = (w, wt)
-    y = xb @ wt + np.broadcast_to(b, (xb.shape[0], b.shape[0]))
-    return y[0] if single else y
+    return x @ wt + np.broadcast_to(b, (x.shape[0], b.shape[0]))
 
 
 def _layers(x):
@@ -115,12 +109,12 @@ class BaseClassifier:
 
 
 def base_apply(p, x):
-    """Base forward on x [C,H,W] or [N,C,H,W]: taped when x is a Var (p holds
-    bound Vars), tape-free when x is an array (p holds the arrays)."""
+    """Base forward on x [N,C,H,W]: taped when x is a Var (p holds bound
+    Vars), tape-free when x is an array (p holds the arrays)."""
     conv, act, flatten, fc = _layers(x)
     h = act(conv(x, p["conv1_w"], p["conv1_b"], 1))
     h = act(conv(h, p["conv2_w"], p["conv2_b"], 1))
-    flat = flatten(h, h.shape[:-3] + (math.prod(h.shape[-3:]),))
+    flat = flatten(h, (h.shape[0], math.prod(h.shape[1:])))
     return fc(flat, p["fc_w"], p["fc_b"])
 
 

@@ -14,7 +14,8 @@ Every broadcast (biases, row-wise backward terms) is one primitive, `bcast`,
 and every reduction is its adjoint, `sum`; each is the other's backward rule.
 The only non-differentiable pieces are the ReLU/maximum selection masks,
 which enter as constant leaves (their derivative is zero almost everywhere,
-matching the subgradient-at-zero convention).
+matching the subgradient-at-zero convention), and cross-entropy's one-hot
+labels, also a constant leaf.
 """
 
 import numpy as np
@@ -24,10 +25,10 @@ from .errors import DomainError, ShapeError, TapeError
 __all__ = [
     "Tape", "Var", "vjp", "grad",
     "conv2d", "relu", "dense",
-    "add", "sub", "mul", "div", "neg", "scale", "add_const", "maximum",
+    "add", "sub", "mul", "div", "scale", "add_const", "maximum",
     "sum_all", "sqrt", "reshape", "matmul", "transpose2d",
     "dot_rows", "rows_scale", "mean_all", "logsumexp_rows", "softmax_rows",
-    "pick_rows", "cross_entropy_rows",
+    "cross_entropy_rows",
 ]
 
 
@@ -58,9 +59,9 @@ class Tape:
     def __len__(self):
         return len(self.nodes)
 
-    def leaf(self, value, dtype=None):
+    def leaf(self, value):
         """Record an input/constant node and return its Var."""
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.asarray(value)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.ndim > 0 and not arr.flags.c_contiguous:
@@ -110,15 +111,7 @@ class Var:
         return mul(self, other)
 
     def __neg__(self):
-        return neg(self)
-
-
-def _same_tape(*vars_):
-    t = vars_[0].tape
-    for v in vars_[1:]:
-        if v.tape is not t:
-            raise TapeError("operands live on different tapes")
-    return t
+        return scale(self, -1.0)
 
 
 def _check_same_shape(a, b, opname):
@@ -186,20 +179,11 @@ def _k_softmax_rows(vals, ctx):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _k_scatter_rows(vals, ctx):
-    (v,) = vals
-    idx, k = ctx
-    out = np.zeros((v.shape[0], k), dtype=v.dtype)
-    out[np.arange(v.shape[0]), idx] = v
-    return out
-
-
 _FORWARD = {
     "add": lambda v, c: v[0] + v[1],
     "sub": lambda v, c: v[0] - v[1],
     "mul": lambda v, c: v[0] * v[1],
     "div": lambda v, c: v[0] / v[1],
-    "neg": lambda v, c: -v[0],
     "scale": lambda v, c: v[0] * c,
     "add_const": lambda v, c: v[0] + c,
     "relu": lambda v, c: np.maximum(v[0], 0.0),
@@ -217,8 +201,6 @@ _FORWARD = {
     "swap_flip": _k_swap_flip,
     "logsumexp_rows": _k_logsumexp_rows,
     "softmax_rows": _k_softmax_rows,
-    "pick_rows": lambda v, c: v[0][np.arange(v[0].shape[0]), c],
-    "scatter_rows": _k_scatter_rows,
 }
 
 
@@ -228,26 +210,22 @@ _FORWARD = {
 
 def add(a, b):
     _check_same_shape(a, b, "add")
-    return _same_tape(a, b)._record("add", (a, b))
+    return a.tape._record("add", (a, b))
 
 
 def sub(a, b):
     _check_same_shape(a, b, "sub")
-    return _same_tape(a, b)._record("sub", (a, b))
+    return a.tape._record("sub", (a, b))
 
 
 def mul(a, b):
     _check_same_shape(a, b, "mul")
-    return _same_tape(a, b)._record("mul", (a, b))
+    return a.tape._record("mul", (a, b))
 
 
 def div(a, b):
     _check_same_shape(a, b, "div")
-    return _same_tape(a, b)._record("div", (a, b))
-
-
-def neg(a):
-    return a.tape._record("neg", (a,))
+    return a.tape._record("div", (a, b))
 
 
 def scale(a, c):
@@ -265,7 +243,7 @@ def relu(x):
 
 def maximum(a, b):
     _check_same_shape(a, b, "maximum")
-    return _same_tape(a, b)._record("maximum", (a, b))
+    return a.tape._record("maximum", (a, b))
 
 
 def _sum(a, axes):
@@ -309,28 +287,28 @@ def transpose2d(a):
 def matmul(a, b):
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
-    return _same_tape(a, b)._record("matmul", (a, b))
+    return a.tape._record("matmul", (a, b))
 
 
 def rows_scale(a, v):
     """out[n, ...] = a[n, ...] * v[n]."""
     if v.value.ndim != 1 or a.value.shape[0] != v.value.shape[0]:
         raise ShapeError("rows_scale: leading dims disagree")
-    return _same_tape(a, v)._record("rows_scale", (a, v))
+    return a.tape._record("rows_scale", (a, v))
 
 
 def dot_rows(a, b):
     """Per-row inner product: [N, ...] x [N, ...] -> [N]."""
     _check_same_shape(a, b, "dot_rows")
-    return _same_tape(a, b)._record("dot_rows", (a, b))
+    return a.tape._record("dot_rows", (a, b))
 
 
 def _conv2d_raw(x, k, pad):
-    return _same_tape(x, k)._record("conv2d", (x, k), int(pad))
+    return x.tape._record("conv2d", (x, k), int(pad))
 
 
 def _conv2d_kgrad(x, gy, pad):
-    return _same_tape(x, gy)._record("conv2d_kgrad", (x, gy), int(pad))
+    return x.tape._record("conv2d_kgrad", (x, gy), int(pad))
 
 
 def _swap_flip(k):
@@ -349,34 +327,18 @@ def softmax_rows(z):
     return z.tape._record("softmax_rows", (z,))
 
 
-def pick_rows(z, idx):
-    idx = np.asarray(idx, dtype=np.int64)
-    if z.value.ndim != 2 or idx.shape != (z.value.shape[0],):
-        raise ShapeError("pick_rows expects [N, K] and [N] indices")
-    if idx.min() < 0 or idx.max() >= z.value.shape[1]:
-        raise DomainError("pick_rows: index out of range")
-    return z.tape._record("pick_rows", (z,), idx)
-
-
-def _scatter_rows(v, idx, k):
-    return v.tape._record("scatter_rows", (v,), (np.asarray(idx, dtype=np.int64), int(k)))
-
-
 # ---------------------------------------------------------------------------
-# Composite ops with the public per-sample contracts (batched axis optional)
+# Composite ops; every input carries a leading batch axis
 # ---------------------------------------------------------------------------
 
 def conv2d(x, kernel, bias, padding):
     """2-D cross-correlation plus per-channel bias, stride 1.
 
-    x is [C,H,W] or [N,C,H,W]; kernel [C_out,C_in,k,k]; bias [C_out].
+    x is [N,C,H,W]; kernel [C_out,C_in,k,k]; bias [C_out].
     With padding = (k-1)/2 the spatial size is preserved.
     """
-    single = x.value.ndim == 3
-    if single:
-        x = reshape(x, (1,) + x.value.shape)
     if x.value.ndim != 4 or kernel.value.ndim != 4:
-        raise ShapeError("conv2d expects image [.,C,H,W] and kernel [O,C,k,k]")
+        raise ShapeError("conv2d expects image [N,C,H,W] and kernel [O,C,k,k]")
     _, c, h, w = x.value.shape
     o, ck, kh, kw = kernel.value.shape
     if ck != c:
@@ -389,32 +351,30 @@ def conv2d(x, kernel, bias, padding):
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ShapeError("conv2d: kernel larger than padded input")
     y = _conv2d_raw(x, kernel, pad)
-    y = add(y, _bcast(bias, y.value.shape, (0, 2, 3)))
-    if single:
-        y = reshape(y, y.value.shape[1:])
-    return y
+    return add(y, _bcast(bias, y.value.shape, (0, 2, 3)))
 
 
 def dense(x, w, b):
-    """Affine map W x + b. x is [n] or [N,n]; w [m,n]; b [m]."""
-    single = x.value.ndim == 1
-    if single:
-        x = reshape(x, (1,) + x.value.shape)
-    if w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
+    """Affine map W x + b per row. x is [N,n]; w [m,n]; b [m]."""
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
         raise ShapeError(f"dense: x {x.value.shape} vs W {w.value.shape}")
     if b.value.shape != (w.value.shape[0],):
         raise ShapeError("dense: bias length must match output dim")
     y = matmul(x, transpose2d(w))
-    y = add(y, _bcast(b, y.value.shape, (0,)))
-    if single:
-        y = reshape(y, (y.value.shape[1],))
-    return y
+    return add(y, _bcast(b, y.value.shape, (0,)))
 
 
 def cross_entropy_rows(logits, labels):
-    """Per-sample softmax cross-entropy: [N,K] x [N] -> [N]."""
+    """Per-sample softmax cross-entropy: [N,K] x [N] -> [N]. The true-class
+    logit is picked as the row's inner product with a one-hot leaf."""
     labels = np.asarray(labels, dtype=np.int64)
-    return sub(logsumexp_rows(logits), pick_rows(logits, labels))
+    z = logits.value
+    if z.ndim != 2 or labels.shape != (z.shape[0],):
+        raise ShapeError("cross_entropy_rows expects [N, K] logits and [N] labels")
+    if labels.min() < 0 or labels.max() >= z.shape[1]:
+        raise DomainError("cross_entropy_rows: label out of range")
+    one_hot = logits.tape.leaf(np.eye(z.shape[1], dtype=z.dtype)[labels])
+    return sub(logsumexp_rows(logits), dot_rows(logits, one_hot))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +398,7 @@ def _bwd_add(tape, node, ni, g, need):
 
 
 def _bwd_sub(tape, node, ni, g, need):
-    return _pick(node, need, lambda: g, lambda: neg(g))
+    return _pick(node, need, lambda: g, lambda: scale(g, -1.0))
 
 
 def _bwd_mul(tape, node, ni, g, need):
@@ -448,11 +408,7 @@ def _bwd_mul(tape, node, ni, g, need):
 
 def _bwd_div(tape, node, ni, g, need):
     b, out = _pvar(tape, node, 1), Var(tape, ni)
-    return _pick(node, need, lambda: div(g, b), lambda: neg(mul(g, div(out, b))))
-
-
-def _bwd_neg(tape, node, ni, g, need):
-    return _pick(node, need, lambda: neg(g))
+    return _pick(node, need, lambda: div(g, b), lambda: scale(mul(g, div(out, b)), -1.0))
 
 
 def _bwd_scale(tape, node, ni, g, need):
@@ -548,19 +504,9 @@ def _bwd_softmax_rows(tape, node, ni, g, need):
         _sum(mul(g, out), (1,)), out.value.shape, (1,)))))
 
 
-def _bwd_pick_rows(tape, node, ni, g, need):
-    k = tape.nodes[node.parents[0]].value.shape[1]
-    return _pick(node, need, lambda: _scatter_rows(g, node.ctx, k))
-
-
-def _bwd_scatter_rows(tape, node, ni, g, need):
-    idx, _ = node.ctx
-    return _pick(node, need, lambda: pick_rows(g, idx))
-
-
 _BACKWARD = {
     "add": _bwd_add, "sub": _bwd_sub, "mul": _bwd_mul, "div": _bwd_div,
-    "neg": _bwd_neg, "scale": _bwd_scale, "add_const": _bwd_add_const,
+    "scale": _bwd_scale, "add_const": _bwd_add_const,
     "relu": _bwd_relu, "maximum": _bwd_maximum,
     "sum": _bwd_sum, "bcast": _bwd_bcast, "sqrt": _bwd_sqrt,
     "reshape": _bwd_reshape, "transpose2d": _bwd_transpose2d,
@@ -569,7 +515,6 @@ _BACKWARD = {
     "conv2d": _bwd_conv2d, "conv2d_kgrad": _bwd_conv2d_kgrad,
     "swap_flip": _bwd_swap_flip,
     "logsumexp_rows": _bwd_logsumexp_rows, "softmax_rows": _bwd_softmax_rows,
-    "pick_rows": _bwd_pick_rows, "scatter_rows": _bwd_scatter_rows,
 }
 
 
@@ -613,20 +558,9 @@ def vjp(tape, output, cotangent, wrt):
                 needed[i] = True
                 break
 
-    # nodes that feed the output, restricted to needed ones
-    if not needed[out_i]:
-        return [tape.leaf(np.zeros_like(w.value)) for w in wrt]
-    live = set()
-    stack = [out_i]
-    while stack:
-        i = stack.pop()
-        if i in live or not needed[i]:
-            continue
-        live.add(i)
-        stack.extend(nodes[i].parents)
-
+    # one downward sweep; a node gets an adjoint only through needed parents
     adjoint = {out_i: cot}
-    for i in sorted(live, reverse=True):
+    for i in range(out_i, -1, -1):
         g = adjoint.pop(i, None)
         if g is None:
             continue

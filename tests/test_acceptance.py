@@ -176,7 +176,7 @@ def _linear_oracle(c):
 
 def test_criterion_2_first_order_transfer_oracle():
     rng = np.random.default_rng(42)
-    shape = (2, 6, 6)
+    shape = (1, 2, 6, 6)
     eps = 0.01
     # (a) loss increase on pipeline j after attacking pipeline i equals
     #     eps * ||g_j|| * cos(g_i, g_j) to rel err <= 1e-10
@@ -186,7 +186,7 @@ def test_criterion_2_first_order_transfer_oracle():
         x0 = np.full(shape, 0.5)
         spec = AttackSpec(kind="pgd", norm="l2", epsilon=eps, steps=1,
                           step_size=eps)
-        _, delta = pgd(_linear_oracle(g_i), x0, np.array(0), spec)
+        _, delta = pgd(_linear_oracle(g_i), x0, np.array([0]), spec)
         measured = float(np.vdot(g_j, delta))
         cos = np.vdot(g_i, g_j) / (np.linalg.norm(g_i) * np.linalg.norm(g_j))
         predicted = eps * np.linalg.norm(g_j) * cos
@@ -199,12 +199,12 @@ def test_criterion_2_first_order_transfer_oracle():
     margins = np.linspace(0.0001, 0.012, 120)  # victims at graded distances
     success = []
     for gamma in (0.0, 0.25, 0.5, 0.9):
-        g_i = e1.reshape(1, 6, 6)
-        g_j = (np.sqrt(gamma) * e1 + np.sqrt(1 - gamma) * e2).reshape(1, 6, 6)
+        g_i = e1.reshape(1, 1, 6, 6)
+        g_j = (np.sqrt(gamma) * e1 + np.sqrt(1 - gamma) * e2).reshape(1, 1, 6, 6)
         spec = AttackSpec(kind="pgd", norm="l2", epsilon=eps, steps=1,
                           step_size=eps)
-        x0 = np.full((1, 6, 6), 0.5)
-        _, delta = pgd(_linear_oracle(-g_i), x0, np.array(0), spec)
+        x0 = np.full((1, 1, 6, 6), 0.5)
+        _, delta = pgd(_linear_oracle(-g_i), x0, np.array([0]), spec)
         drop = -float(np.vdot(g_j, delta))
         success.append(float(np.mean(margins < drop)))
     assert all(b > a for a, b in zip(success, success[1:])), success

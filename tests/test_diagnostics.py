@@ -15,6 +15,7 @@ from drift.diagnostics import (
     orthonormal_directions, probe_variance_study, transfer_matrix,
 )
 from drift.errors import DomainError
+from drift.harness import _write_json
 from drift.losses import NORM_GUARD, draw_logit_probes
 from drift.models import (
     Filter, FilterArch, FilterBank, base_apply, bind_params,
@@ -108,7 +109,7 @@ def test_consensus_json_round_trip(tmp_path, small_base):
     x, y = small_inputs()
     rep = consensus(bank, small_base, (x, y), mode="probed", probes=2, seed=5)
     path = tmp_path / "consensus.json"
-    rep.save_json(path)
+    _write_json(rep.to_dict(), path)
     loaded = json.loads(path.read_text())
     np.testing.assert_array_equal(np.asarray(loaded["gamma"]), rep.gamma)
     assert loaded["mode"] == "probed" and loaded["probes"] == 2

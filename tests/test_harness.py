@@ -8,7 +8,7 @@ from drift.data import generate_synthetic_dataset
 from drift.errors import DomainError, StageError
 from drift.harness import (
     ATTACK_CSV_FIELDS, DatasetSpec, INFERENCE_TAG,
-    MetricsRecord, attack_label, config_from_dict, default_config,
+    MetricsRecord, _write_json, attack_label, config_from_dict, default_config,
     evaluate_robust_accuracy, load_config, measure_overhead,
     rerun_from_manifest, run_experiment, stochastic_predict,
 )
@@ -56,7 +56,7 @@ def tiny_setup():
 def test_config_json_round_trip(tmp_path):
     config = config_from_dict(dict(MICRO, out_dir="somewhere"))
     path = tmp_path / "config.json"
-    config.save_json(path)
+    _write_json(config.to_dict(), path)
     again = load_config(path)
     assert again.to_dict() == config.to_dict()
     assert again.model.channels == (4, 8)

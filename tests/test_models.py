@@ -28,8 +28,6 @@ def test_build_base_model_deterministic():
 
 def test_base_forward_shapes():
     m = build_base_model((3, 16, 16), 10, seed=7)
-    x = RNG.uniform(0, 1, (3, 16, 16))
-    assert m.forward_np(x).shape == (10,)
     xb = RNG.uniform(0, 1, (5, 3, 16, 16))
     assert m.forward_np(xb).shape == (5, 10)
 
@@ -44,17 +42,16 @@ def test_base_model_degenerate_args():
 def test_taped_and_numpy_base_forward_match():
     m = build_base_model((3, 8, 8), 5, seed=3)
     x = RNG.uniform(0, 1, (4, 3, 8, 8))
-    for xin in (x, x[0]):  # a batch and a single [C,H,W] image
-        t = Tape()
-        logits = base_apply(bind_params(t, m.params), t.leaf(xin))
-        np.testing.assert_array_equal(logits.value, m.forward_np(xin))
+    t = Tape()
+    logits = base_apply(bind_params(t, m.params), t.leaf(x))
+    np.testing.assert_array_equal(logits.value, m.forward_np(x))
 
 
 # -- filters ------------------------------------------------------------------
 
 def test_res_block_identity_init_bitwise():
     f = init_filter_identity("res_block", seed=0)
-    x = RNG.uniform(0, 1, (3, 16, 16))
+    x = RNG.uniform(0, 1, (1, 3, 16, 16))
     assert filter_forward_np(f, x).tobytes() == x.tobytes()
     t = Tape()
     xv = t.leaf(x)
@@ -65,14 +62,14 @@ def test_identity_init_seeds_differ_but_both_identity():
     f1 = init_filter_identity("res_block", seed=1)
     f2 = init_filter_identity("res_block", seed=2)
     assert param_checksum(f1.params) != param_checksum(f2.params)
-    x = RNG.uniform(0, 1, (3, 8, 8))
+    x = RNG.uniform(0, 1, (1, 3, 8, 8))
     assert filter_forward_np(f1, x).tobytes() == filter_forward_np(f2, x).tobytes()
 
 
 @pytest.mark.parametrize("arch", ["single_conv", "res_block", "deep_conv"])
 def test_filter_shape_preserving(arch):
     f = init_filter_identity(arch, seed=4)
-    x = RNG.uniform(0, 1, (3, 12, 12))
+    x = RNG.uniform(0, 1, (1, 3, 12, 12))
     assert filter_forward_np(f, x).shape == x.shape
     xb = RNG.uniform(0, 1, (2, 3, 12, 12))
     assert filter_forward_np(f, xb).shape == xb.shape
@@ -85,8 +82,8 @@ def test_filter_vjp_matches_fd(arch):
     r = np.random.default_rng(1)
     for k in f.params:
         f.params[k] = f.params[k] + 0.05 * r.standard_normal(f.params[k].shape)
-    x0 = RNG.uniform(0.2, 0.8, (3, 6, 6))
-    v = r.standard_normal((3, 6, 6))
+    x0 = RNG.uniform(0.2, 0.8, (1, 3, 6, 6))
+    v = r.standard_normal((1, 3, 6, 6))
 
     t = Tape()
     xv = t.leaf(x0)
@@ -113,10 +110,9 @@ def test_taped_and_numpy_filter_match():
     for arch in ("single_conv", "res_block", "deep_conv"):
         f = init_filter_identity(arch, seed=5)
         x = RNG.uniform(0, 1, (2, 3, 8, 8))
-        for xin in (x, x[0]):  # a batch and a single [C,H,W] image
-            t = Tape()
-            y = filter_forward(f, t.leaf(xin))
-            np.testing.assert_array_equal(y.value, filter_forward_np(f, xin))
+        t = Tape()
+        y = filter_forward(f, t.leaf(x))
+        np.testing.assert_array_equal(y.value, filter_forward_np(f, x))
 
 
 def test_tape_free_forwards_call_the_module_layer_functions(monkeypatch):
@@ -265,15 +261,13 @@ def test_np_dense_reuses_a_read_only_transpose_bitwise():
     x = RNG.normal(size=(3, 64))
     w, b = RNG.normal(size=(10, 64)), RNG.normal(size=10)
 
-    def reference(w, x=x):
+    def reference(w):
         return x @ np.ascontiguousarray(w.T) + np.broadcast_to(b, (len(x), 10))
 
     frozen = w.copy()
     frozen.flags.writeable = False
     for _ in range(2):
         np.testing.assert_array_equal(np_dense(x, frozen, b), reference(w))
-    np.testing.assert_array_equal(np_dense(x[0], frozen, b),
-                                  reference(w, x[:1])[0])
     other = w[::-1].copy()
     other.flags.writeable = False
     np.testing.assert_array_equal(np_dense(x, other, b), reference(other))

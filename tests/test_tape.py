@@ -15,9 +15,9 @@ from drift.losses import (
 )
 from drift.models import build_base_model, pretrain_and_freeze
 from drift.tape import (
-    _BACKWARD, _FORWARD, Tape, _bcast, _sum, add, conv2d, cross_entropy_rows,
-    dense, dot_rows, div, grad, matmul, maximum, mul, relu, reshape,
-    rows_scale, scale, sqrt, sum_all, vjp,
+    _BACKWARD, _FORWARD, Tape, _bcast, _pick, _sum, add, conv2d,
+    cross_entropy_rows, dense, dot_rows, div, grad, logsumexp_rows, matmul,
+    maximum, mul, relu, reshape, rows_scale, scale, sqrt, sub, sum_all, vjp,
 )
 from drift.training import TrainConfig, train_drift
 
@@ -141,18 +141,18 @@ def test_dot_rows_matches_per_row_dots():
 def test_dense_backward_closed_form():
     w0 = RNG.standard_normal((3, 5))
     b0 = RNG.standard_normal(3)
-    x0 = RNG.standard_normal(5)
-    u = RNG.standard_normal(3)
+    x0 = RNG.standard_normal((1, 5))
+    u = RNG.standard_normal((1, 3))
 
     t = Tape()
     xv, wv, bv = t.leaf(x0), t.leaf(w0), t.leaf(b0)
     y = dense(xv, wv, bv)
-    np.testing.assert_allclose(y.value, w0 @ x0 + b0, rtol=1e-12)
+    np.testing.assert_allclose(y.value[0], w0 @ x0[0] + b0, rtol=1e-12)
 
     gx, gw, gb = vjp(t, y, u, [xv, wv, bv])
-    np.testing.assert_allclose(gx.value, w0.T @ u, rtol=1e-12)
+    np.testing.assert_allclose(gx.value[0], w0.T @ u[0], rtol=1e-12)
     np.testing.assert_allclose(gw.value, np.outer(u, x0), rtol=1e-12)
-    np.testing.assert_allclose(gb.value, u, rtol=1e-12)
+    np.testing.assert_allclose(gb.value, u[0], rtol=1e-12)
 
 
 def test_dense_batched_matches_loop():
@@ -178,25 +178,25 @@ def test_matmul_fd():
 # -- conv2d ------------------------------------------------------------------
 
 def test_conv2d_forward_matches_direct():
-    x0 = RNG.standard_normal((2, 5, 5))
+    x0 = RNG.standard_normal((1, 2, 5, 5))
     k0 = RNG.standard_normal((3, 2, 3, 3))
     b0 = RNG.standard_normal(3)
     t = Tape()
     y = conv2d(t.leaf(x0), t.leaf(k0), t.leaf(b0), padding=1)
-    assert y.value.shape == (3, 5, 5)
+    assert y.value.shape == (1, 3, 5, 5)
 
-    xp = np.pad(x0, ((0, 0), (1, 1), (1, 1)))
+    xp = np.pad(x0[0], ((0, 0), (1, 1), (1, 1)))
     ref = np.zeros((3, 5, 5))
     for o in range(3):
         for i in range(5):
             for j in range(5):
                 ref[o, i, j] = np.vdot(xp[:, i:i + 3, j:j + 3], k0[o]) + b0[o]
-    np.testing.assert_allclose(y.value, ref, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(y.value[0], ref, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("pad", [0, 1])
 def test_conv2d_grads_fd(pad):
-    x0 = RNG.standard_normal((2, 6, 6))
+    x0 = RNG.standard_normal((1, 2, 6, 6))
     k0 = RNG.standard_normal((3, 2, 3, 3)) * 0.3
     b0 = RNG.standard_normal(3) * 0.3
 
@@ -234,14 +234,14 @@ def test_conv2d_batched_matches_per_sample():
     yb = conv2d(t.leaf(x0), t.leaf(k0), t.leaf(b0), padding=1)
     for n in range(4):
         t2 = Tape()
-        y1 = conv2d(t2.leaf(x0[n]), t2.leaf(k0), t2.leaf(b0), padding=1)
-        np.testing.assert_allclose(yb.value[n], y1.value, rtol=1e-13, atol=0)
+        y1 = conv2d(t2.leaf(x0[n:n + 1]), t2.leaf(k0), t2.leaf(b0), padding=1)
+        np.testing.assert_allclose(yb.value[n], y1.value[0], rtol=1e-13, atol=0)
 
 
 def test_conv2d_channel_mismatch_raises():
     t = Tape()
     with pytest.raises(ShapeError):
-        conv2d(t.leaf(np.zeros((2, 4, 4))), t.leaf(np.zeros((3, 5, 3, 3))),
+        conv2d(t.leaf(np.zeros((1, 2, 4, 4))), t.leaf(np.zeros((3, 5, 3, 3))),
                t.leaf(np.zeros(3)), padding=1)
 
 
@@ -390,7 +390,7 @@ def test_xent_second_order_fd():
 
 
 def test_second_order_through_conv():
-    x0 = RNG.standard_normal((1, 4, 4)) * 0.5
+    x0 = RNG.standard_normal((1, 1, 4, 4)) * 0.5
     k0 = RNG.standard_normal((1, 1, 3, 3)) * 0.5
     b0 = np.zeros(1)
 
@@ -417,11 +417,11 @@ def test_second_order_through_conv():
 # -- vjp contract -------------------------------------------------------------
 
 def test_vjp_linearity_in_cotangent():
-    x0 = RNG.standard_normal(6)
+    x0 = RNG.standard_normal((1, 6))
     w0 = RNG.standard_normal((4, 6))
     b0 = RNG.standard_normal(4)
-    u1 = RNG.standard_normal(4)
-    u2 = RNG.standard_normal(4)
+    u1 = RNG.standard_normal((1, 4))
+    u2 = RNG.standard_normal((1, 4))
     a, b = 0.7, -2.3
 
     t = Tape()
@@ -533,13 +533,13 @@ def replay(tape):
 
 def test_tape_replay_bitwise():
     t = Tape()
-    x = t.leaf(RNG.standard_normal((2, 4, 4)))
+    x = t.leaf(RNG.standard_normal((1, 2, 4, 4)))
     k = t.leaf(RNG.standard_normal((3, 2, 3, 3)))
     b = t.leaf(RNG.standard_normal(3))
     y = conv2d(x, k, b, padding=1)
-    h = reshape(relu(y), (48,))
+    h = reshape(relu(y), (1, 48))
     logits = dense(h, t.leaf(RNG.standard_normal((5, 48))), t.leaf(RNG.standard_normal(5)))
-    out = xent(logits, 2)
+    out = sum_all(cross_entropy_rows(logits, [2]))
     grad(t, out, [x, k, b])  # extend the tape with backward nodes too
     assert replay(t)
 
@@ -583,7 +583,7 @@ def _axes_names(shape, axes):
 _RULE_CASES = [(op, op, shapes, ctx) for op, shapes, ctx in [
     ("add", ((3, 4), (3, 4)), None), ("sub", ((3, 4), (3, 4)), None),
     ("mul", ((3, 4), (3, 4)), None), ("div", ((3, 4), (3, 4)), None),
-    ("maximum", ((3, 4), (3, 4)), None), ("neg", ((3, 4),), None),
+    ("maximum", ((3, 4), (3, 4)), None),
     ("scale", ((3, 4),), 1.5), ("add_const", ((3, 4),), 0.5),
     ("relu", ((3, 4),), None), ("sqrt", ((3, 4),), None),
     ("reshape", ((3, 4),), (4, 3)), ("transpose2d", ((3, 4),), None),
@@ -593,8 +593,6 @@ _RULE_CASES = [(op, op, shapes, ctx) for op, shapes, ctx in [
     ("conv2d_kgrad", ((2, 3, 5, 5), (2, 4, 5, 5)), 1),
     ("swap_flip", ((4, 3, 3, 3),), None),
     ("logsumexp_rows", ((3, 4),), None), ("softmax_rows", ((3, 4),), None),
-    ("pick_rows", ((3, 4),), np.array([0, 3, 1])),
-    ("scatter_rows", ((3,),), (np.array([0, 3, 1]), 4)),
 ]] + [(_axes_names(shape, axes)[0], "sum", (shape,), axes)
       for shape, axes in _AXES_CASES] + [
     (_axes_names(shape, axes)[1], "bcast", (_reduced(shape, axes),), (shape, axes))
@@ -676,6 +674,78 @@ def test_sum_and_bcast_are_byte_equal_to_the_kernels_they_replaced(shape, axes, 
     xv, pv = t.leaf(x), t.leaf(part)
     assert _sum(xv, axes).value.tobytes() == pairs[0][0].tobytes()
     assert _bcast(pv, shape, axes).value.tobytes() == pairs[1][0].tobytes()
+
+
+# the three ops that cross_entropy_rows' one-hot inner product and
+# scale(g, -1) replaced, as they were, plus sub's rule from when it used neg
+def _old_neg(a):
+    return a.tape._record("neg", (a,))
+
+
+def _old_pick_rows(z, idx):
+    return z.tape._record("pick_rows", (z,), np.asarray(idx, dtype=np.int64))
+
+
+def _old_scatter_rows_kernel(vals, ctx):
+    (v,) = vals
+    idx, k = ctx
+    out = np.zeros((v.shape[0], k), dtype=v.dtype)
+    out[np.arange(v.shape[0]), idx] = v
+    return out
+
+
+def _old_pick_rows_rule(tape, node, ni, g, need):
+    k = tape.nodes[node.parents[0]].value.shape[1]
+    return _pick(node, need, lambda: g.tape._record(
+        "scatter_rows", (g,), (node.ctx, k)))
+
+
+_OLD_FORWARD = {
+    "neg": lambda v, c: -v[0],
+    "pick_rows": lambda v, c: v[0][np.arange(v[0].shape[0]), c],
+    "scatter_rows": _old_scatter_rows_kernel,
+}
+_OLD_BACKWARD = {
+    "neg": lambda tape, node, ni, g, need: _pick(node, need, lambda: _old_neg(g)),
+    "pick_rows": _old_pick_rows_rule,
+    "scatter_rows": lambda tape, node, ni, g, need: _pick(
+        node, need, lambda: _old_pick_rows(g, node.ctx[0])),
+    "sub": lambda tape, node, ni, g, need: _pick(
+        node, need, lambda: g, lambda: _old_neg(g)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cross_entropy_is_byte_equal_to_the_ops_it_replaced(monkeypatch, dtype):
+    for op, kernel in _OLD_FORWARD.items():
+        monkeypatch.setitem(_FORWARD, op, kernel)
+    for op, rule in _OLD_BACKWARD.items():
+        monkeypatch.setitem(_BACKWARD, op, rule)
+    r = np.random.default_rng(5)
+    z = (4 * r.standard_normal((9, 10))).astype(dtype)
+    labels = r.integers(0, 10, 9)
+    # upstream cotangents of both signs: a positive one makes the one-hot
+    # rule's off-label zeros -0.0 where scatter_rows wrote +0.0
+    u = np.array([-1.5, 2.0, -0.25, 0.5, 1.0, -3.0, 0.75, -1.0, 0.125], dtype=dtype)
+    w = r.standard_normal((9, 10)).astype(dtype)
+
+    def run(ce):
+        t = Tape()
+        zv, cot = t.leaf(z), t.leaf(u)
+        loss = ce(zv, labels)
+        (g,) = vjp(t, loss, cot, [zv])
+        # second order, through the one-hot rule's own backward
+        hz, hu = grad(t, sum_all(mul(g, t.leaf(w))), [zv, cot])
+        return t, [v.value for v in (loss, g, hz, hu)]
+
+    t_new, new = run(cross_entropy_rows)
+    t_old, old = run(lambda zv, y: sub(logsumexp_rows(zv), _old_pick_rows(zv, y)))
+    assert {"neg", "pick_rows", "scatter_rows"} <= {n.op for n in t_old.nodes}
+    for a, b in zip(new, old):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+    one_hot_rule = [n.value for n in t_new.nodes if n.op == "rows_scale"][0]
+    assert np.signbit(one_hot_rule[one_hot_rule == 0]).any()
 
 
 def _compute_then_drop(monkeypatch):
