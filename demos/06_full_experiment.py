@@ -31,7 +31,6 @@ config = config_from_dict({
         {"kind": "square", "norm": "linf", "epsilon": 8 / 255, "steps": 1,
          "query_budget": 200},
     ],
-    "diagnostics": {"consensus": True, "gradnorm": True},
     "out_dir": str(out),
 })
 

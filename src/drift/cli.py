@@ -1,7 +1,8 @@
 """Command-line surface: train, attack, diagnose, report.
 
 `diagnose --what` runs one diagnostic, the EoT loss landscape among them,
-at the parameters every run uses (harness.run_diagnostic). Every subcommand
+at the parameters and seed of the run that wrote the checkpoint
+(harness.run_diagnostic; the run's seed is the bank's). Every subcommand
 that needs data rebuilds the eval split from metadata stored in the
 checkpoint, so a .dtns file is self-contained. All outputs land next to
 their inputs (checkpoint directory or --out).
@@ -71,7 +72,8 @@ def cmd_attack(args):
 def cmd_diagnose(args):
     bank, model, eval_split = _load_for_eval(args.checkpoint)
     out_dir = Path(args.checkpoint).parent
-    result = run_diagnostic(args.what, bank, model, eval_split, out_dir)
+    result = run_diagnostic(args.what, bank, model, eval_split, out_dir,
+                            seed=bank.seed)
     if args.what == "consensus":
         print(f"mean off-diagonal consensus: {result.mean_off_diagonal():.6f}")
     elif args.what == "mismatch":

@@ -32,6 +32,15 @@ def _row_norms(g):
     return np.sqrt(np.sum(g.reshape(g.shape[0], -1) ** 2, axis=1))
 
 
+def _summary(values):
+    """{median, p05, p95} of a 1-D sample."""
+    return {
+        "median": float(np.median(values)),
+        "p05": float(np.percentile(values, 5)),
+        "p95": float(np.percentile(values, 95)),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Consensus
 # ---------------------------------------------------------------------------
@@ -202,23 +211,10 @@ def directional_mismatch(bank, model, dataset, etas=(1e-2, 1e-3, 1e-4),
             for e, (up, down) in zip(etas, pairs):
                 deltas[e].append(abs(slope_true - (up - down) / (2 * e)))
 
-    per_eta = {}
-    for e in etas:
-        arr = np.asarray(deltas[e])
-        per_eta[e] = {
-            "median": float(np.median(arr)),
-            "mean": float(arr.mean()),
-            "p05": float(np.percentile(arr, 5)),
-            "p95": float(np.percentile(arr, 95)),
-        }
-    narr = np.asarray(norms)
-    grad_norms = {
-        "median": float(np.median(narr)),
-        "p05": float(np.percentile(narr, 5)),
-        "p95": float(np.percentile(narr, 95)),
-    }
+    per_eta = {e: dict(_summary(deltas[e]), mean=float(np.mean(deltas[e])))
+               for e in etas}
     return MismatchStats(etas=tuple(etas), per_eta=per_eta,
-                         grad_norms=grad_norms, n_samples=len(y_all),
+                         grad_norms=_summary(norms), n_samples=len(y_all),
                          n_dirs=n_dirs, eot_k=eot_k)
 
 
@@ -229,12 +225,7 @@ def gradient_norm_stats(bank, model, dataset, eot_k=128, seed=0):
         raise DomainError("gradient_norm_stats needs a nonempty dataset")
     counts = eot_draw_counts(bank.k, eot_k, seed, ids, 0)
     _, g = _eot_loss_grad(bank, model, x_all, y_all, counts, eot_k, False)
-    norms = _row_norms(g)
-    return {
-        "median": float(np.median(norms)),
-        "p05": float(np.percentile(norms, 5)),
-        "p95": float(np.percentile(norms, 95)),
-    }
+    return _summary(_row_norms(g))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ VERSION = 2
 
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8"), 0x88: np.dtype("<i8")}
 _CODES_BY_VERSION = {1: (4, 8), 2: (4, 8, 0x88)}
-_ARCH_CODES = {"single_conv": 0, "res_block": 1, "deep_conv": 2}
-_ARCH_NAMES = {v: k for k, v in _ARCH_CODES.items()}
 _CKPT_VERSION = 1
+_RES_BLOCK = 1     # __meta__[1], the filter family's code
+_META_LEN = 15
 
 
 def _precision_of(arr):
@@ -112,7 +112,7 @@ def save_checkpoint(path, bank, model, data_seed=0, n_per_class=0):
     arch = bank.filters[0].arch
     meta = [
         _CKPT_VERSION,
-        _ARCH_CODES[arch.name],
+        _RES_BLOCK,
         arch.hidden,
         bank.k,
         bank.seed,
@@ -132,19 +132,27 @@ def save_checkpoint(path, bank, model, data_seed=0, n_per_class=0):
     for k in sorted(model.params):
         tensors[f"base.{k}"] = model.params[k]
     for i, f in enumerate(bank.filters):
-        if f.arch.name != arch.name or f.arch.hidden != arch.hidden:
+        if f.arch != arch:
             raise DomainError("checkpoint requires a homogeneous bank")
         for k in sorted(f.params):
             tensors[f"filter{i}.{k}"] = f.params[k]
     write_tensors(path, tensors)
 
 
-def checkpoint_meta(path):
-    """Dataset regeneration hints stored alongside the tensors."""
-    tensors = read_tensors(path)
+def _meta(tensors):
+    """The checkpoint's __meta__ record, checked for its length."""
     if "__meta__" not in tensors:
         raise DomainError("checkpoint is missing its metadata record")
     meta = tensors["__meta__"]
+    if meta.ndim != 1 or len(meta) < _META_LEN:
+        raise DomainError(f"checkpoint metadata has shape {meta.shape}; "
+                          f"it needs {_META_LEN} entries")
+    return meta
+
+
+def checkpoint_meta(path):
+    """Dataset regeneration hints stored alongside the tensors."""
+    meta = _meta(read_tensors(path))
     return {
         "classes": int(meta[8]),
         "side": int(meta[6]),
@@ -157,12 +165,13 @@ def checkpoint_meta(path):
 def load_checkpoint(path):
     """Returns (bank, model) rebuilt from a checkpoint file."""
     tensors = read_tensors(path)
-    if "__meta__" not in tensors:
-        raise DomainError("checkpoint is missing its metadata record")
-    meta = tensors["__meta__"]
+    meta = _meta(tensors)
     if int(meta[0]) != _CKPT_VERSION:
         raise DomainError(f"unsupported checkpoint version {int(meta[0])}")
-    arch = FilterArch(_ARCH_NAMES[int(meta[1])], hidden=int(meta[2]))
+    if int(meta[1]) != _RES_BLOCK:
+        raise DomainError(f"unknown filter arch code {int(meta[1])}; "
+                          f"res_block is {_RES_BLOCK}")
+    arch = FilterArch(hidden=int(meta[2]))
     k_filters = int(meta[3])
     image_shape = (int(meta[5]), int(meta[6]), int(meta[7]))
 

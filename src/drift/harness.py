@@ -49,13 +49,10 @@ ATTACK_CSV_FIELDS = ("sample_id", "kind", "epsilon", "steps", "eot_samples",
 class DatasetSpec:
     classes: int = 10
     side: int = 16
-    channels: int = 3
     n_per_class: int = 40
     seed: int = 0
 
     def __post_init__(self):
-        if self.channels != 3:
-            raise DomainError("synthetic datasets are three-channel")
         check_dataset_shape(self.classes, self.side, self.n_per_class)
 
 
@@ -75,23 +72,12 @@ class ModelSpec:
 @dataclass
 class BankSpec:
     k: int = 4
-    arch: str = "res_block"
     hidden: int = 16
 
     def __post_init__(self):
-        FilterArch(self.arch, self.hidden)  # rejects a bad arch or hidden
+        FilterArch(hidden=self.hidden)  # rejects a bad hidden
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
-
-
-@dataclass
-class DiagnosticsToggles:
-    consensus: bool = True
-    mismatch: bool = False
-    transfer: bool = False
-    probes: bool = False
-    gradnorm: bool = True
-    landscape: bool = False
 
 
 @dataclass
@@ -103,7 +89,6 @@ class ExperimentConfig:
     bank: BankSpec = field(default_factory=BankSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     attacks: list = field(default_factory=list)
-    diagnostics: DiagnosticsToggles = field(default_factory=DiagnosticsToggles)
     inference_seed: int = 0
     out_dir: str = "runs/default"
 
@@ -173,7 +158,7 @@ def default_config(out_dir="runs/default", seed=0):
         "seed": seed,
         "dataset": {"classes": 10, "side": 16, "n_per_class": 40},
         "model": {"pretrain_epochs": 30, "pretrain_lr": 1e-3},
-        "bank": {"k": 4, "arch": "res_block", "hidden": 16},
+        "bank": {"k": 4, "hidden": 16},
         "train": {
             # Low CE weight: the pull toward the (perfect-accuracy) base
             # behavior sets the separation equilibrium, and the clean margin
@@ -194,7 +179,6 @@ def default_config(out_dir="runs/default", seed=0):
             {"kind": "square", "norm": "linf", "epsilon": eps, "steps": 1,
              "query_budget": 800},
         ],
-        "diagnostics": {"consensus": True, "gradnorm": True},
         "out_dir": str(out_dir),
     })
 
@@ -384,15 +368,18 @@ def _write_json(obj, path):
         json.dump(obj, fh, sort_keys=True, indent=1)
 
 
-# diagnostic -> the file it writes, in the order a run executes them
+# diagnostic -> the file it writes; `drift diagnose --what` runs any of them
 DIAGNOSTIC_FILES = {"consensus": "consensus_exact.json", "gradnorm": "gradnorm.json",
                     "mismatch": "mismatch.json", "transfer": "transfer.csv",
                     "probes": "probes.json", "landscape": "landscape.csv"}
+# the diagnostics every run executes, in this order
+RUN_DIAGNOSTICS = ("consensus", "gradnorm")
 
 
 def run_diagnostic(what, bank, model, eval_split, out, seed=0):
-    """One diagnostic at the parameters every run uses; writes its file
-    (DIAGNOSTIC_FILES) under the directory `out` and returns its result."""
+    """One diagnostic at fixed parameters (a run passes its master seed);
+    writes its file (DIAGNOSTIC_FILES) under the directory `out` and
+    returns its result."""
     path = out / DIAGNOSTIC_FILES[what]
     if what == "consensus":
         result = consensus(bank, model, eval_split, mode="exact")
@@ -421,17 +408,6 @@ def run_diagnostic(what, bank, model, eval_split, out, seed=0):
                                 dir_seed=seed, eot_k=128)
         result.save_csv(path)
     return result
-
-
-def _diagnostic_files(config, bank, model, eval_split, out):
-    """Runs the enabled diagnostics; returns (file map, consensus report)."""
-    files, results = {}, {}
-    for what, name in DIAGNOSTIC_FILES.items():
-        if getattr(config.diagnostics, what):
-            files[what] = name
-            results[what] = run_diagnostic(what, bank, model, eval_split, out,
-                                           seed=config.seed)
-    return files, results.get("consensus")
 
 
 def run_experiment(config):
@@ -475,9 +451,7 @@ def run_experiment(config):
         config.dataset.n_per_class, config.dataset.seed))
 
     def _pretrain():
-        shape = (config.dataset.channels, config.dataset.side,
-                 config.dataset.side)
-        model = build_base_model(shape, config.dataset.classes,
+        model = build_base_model(train_split.x.shape[1:], config.dataset.classes,
                                  seed=config.seed,
                                  channels=config.model.channels)
         return pretrain_and_freeze(model, (train_split.x, train_split.y),
@@ -486,9 +460,9 @@ def run_experiment(config):
     model = stage("pretrain", _pretrain)
 
     def _train():
-        arch = FilterArch(config.bank.arch, hidden=config.bank.hidden)
-        bank = build_filter_bank(arch, config.bank.k, seed=config.seed,
-                                 channels=config.dataset.channels)
+        bank = build_filter_bank(FilterArch(hidden=config.bank.hidden),
+                                 config.bank.k, seed=config.seed,
+                                 channels=train_split.x.shape[1])
         bank, log = train_drift(model, bank, (train_split.x, train_split.y),
                                 config.train)
         write_training_log(log, out / "training_log.csv")
@@ -504,15 +478,17 @@ def run_experiment(config):
         experiment_id=config.experiment_id,
         csv_path=out / "attacks.csv"))
 
-    files, consensus_report = stage("diagnostics", lambda: _diagnostic_files(
-        config, bank, model, eval_split, out))
+    results = stage("diagnostics", lambda: {
+        what: run_diagnostic(what, bank, model, eval_split, out, seed=config.seed)
+        for what in RUN_DIAGNOSTICS})
 
-    if consensus_report is not None and bank.k >= 2:
-        metrics.consensus_mean_offdiag = consensus_report.mean_off_diagonal()
+    if bank.k >= 2:
+        metrics.consensus_mean_offdiag = results["consensus"].mean_off_diagonal()
     metrics.timings = timings
     metrics.page_faults = page_faults
     _write_json(metrics.to_dict(), out / "metrics.json")
-    _write_json(dict(manifest_dict("complete"), artifacts=files),
+    artifacts = {what: DIAGNOSTIC_FILES[what] for what in RUN_DIAGNOSTICS}
+    _write_json(dict(manifest_dict("complete"), artifacts=artifacts),
                 out / "manifest.json")
     return metrics
 

@@ -119,16 +119,15 @@ def bind_bank(tape, bank):
     return [bind_params(tape, f.params) for f in bank.filters]
 
 
-def _filter_outputs(bank, x_var, bank_pvars):
-    return [filter_apply(f.arch, pv, x_var)
-            for f, pv in zip(bank.filters, bank_pvars)]
+def _filter_outputs(x_var, bank_pvars):
+    return [filter_apply(pv, x_var) for pv in bank_pvars]
 
 
-def _logits(tape, bank, model, x_var, bank_pvars):
+def _logits(tape, model, x_var, bank_pvars):
     """Binds the base once; returns [M(f_i(x)) for each filter]."""
     model_pvars = bind_params(tape, model.params)
-    return [base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
-            for f, pv in zip(bank.filters, bank_pvars)]
+    return [base_apply(model_pvars, filter_apply(pv, x_var))
+            for pv in bank_pvars]
 
 
 def _base_vjps(model, z, cots):
@@ -172,7 +171,7 @@ def _batched(probes, n):
 
 def ce_component(tape, bank, model, x_var, y, bank_pvars):
     """Mean over batch and filters of CE(M(f_i(x)), y)."""
-    logits = _logits(tape, bank, model, x_var, bank_pvars)
+    logits = _logits(tape, model, x_var, bank_pvars)
     return _mean_of([mean_all(cross_entropy_rows(z, y)) for z in logits])
 
 
@@ -184,7 +183,7 @@ def js_component(tape, bank, x_var, probes_v, bank_pvars):
     """
     if bank.k < 2:
         return None
-    outs = _filter_outputs(bank, x_var, bank_pvars)
+    outs = _filter_outputs(x_var, bank_pvars)
     cots = [[c] * bank.k for c in _batched(probes_v, x_var.value.shape[0])]
     pair_terms, _ = _probed_cos_sq(tape, outs, x_var, cots)
     return _mean_of(pair_terms)
@@ -203,7 +202,7 @@ def lvjp_component(tape, bank, model, x_var, probes_w, bank_pvars,
     filter outputs' cotangents and, for M(x), as constant anchors.
     """
     cots = _batched(probes_w, x_var.value.shape[0])
-    outs = _filter_outputs(bank, x_var, bank_pvars)
+    outs = _filter_outputs(x_var, bank_pvars)
     per_out = [_base_vjps(model, o.value, cots) for o in outs]
     anchors = _base_vjps(model, x_var.value, cots) if include_identity else None
     groups = [_mean_of(t) for t in _probed_cos_sq(
@@ -213,7 +212,7 @@ def lvjp_component(tape, bank, model, x_var, probes_w, bank_pvars,
 
 def adv_component(tape, bank, model, xadv_var, y, bank_pvars):
     """Mean over batch of the worst per-filter CE on perturbed inputs."""
-    logits = _logits(tape, bank, model, xadv_var, bank_pvars)
+    logits = _logits(tape, model, xadv_var, bank_pvars)
     return mean_all(reduce(maximum, [cross_entropy_rows(z, y) for z in logits]))
 
 

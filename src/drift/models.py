@@ -2,9 +2,9 @@
 
 The base model M is a small conv-relu-conv-relu-flatten-dense network that is
 pretrained once and then frozen (its arrays are made read-only and a checksum
-is pinned). Filters are tiny shape-preserving nets placed in front of M; the
-res_block variant initializes to the exact identity so the ensemble starts
-at the base model's clean accuracy.
+is pinned). Filters are res_blocks placed in front of M, f(x) = x +
+conv(relu(conv(x))), the one filter family; each initializes to the exact
+identity, so the ensemble starts at the base model's clean accuracy.
 
 Each network is defined once (base_apply, filter_apply) and evaluated two
 ways by the input's type: a Var records on its Tape (wherever gradients are
@@ -25,8 +25,6 @@ from .tape import mean_all, relu, reshape
 from .tape import _FORWARD
 
 _np_conv = _FORWARD["conv2d"]
-
-FILTER_ARCHS = ("single_conv", "res_block", "deep_conv")
 
 
 def np_conv2d(x, kernel, bias, padding):
@@ -183,13 +181,13 @@ def pretrain_and_freeze(model, dataset, epochs, lr, batch_size=100):
 
 @dataclass
 class FilterArch:
-    """Shape-preserving filter family; hidden width only used by res_block."""
+    """The res_block filter family and its hidden width."""
     name: str = "res_block"
     hidden: int = 16
 
     def __post_init__(self):
-        if self.name not in FILTER_ARCHS:
-            raise DomainError(f"arch must be one of {FILTER_ARCHS}, got {self.name!r}")
+        if self.name != "res_block":
+            raise DomainError(f"arch must be 'res_block', got {self.name!r}")
         if self.hidden < 1:
             raise DomainError(f"hidden must be at least 1, got {self.hidden}")
 
@@ -200,74 +198,38 @@ class Filter:
     params: dict = field(default_factory=dict)
 
 
-def _delta_kernel(channels):
-    k = np.zeros((channels, channels, 3, 3))
-    for c in range(channels):
-        k[c, c, 1, 1] = 1.0
-    return k
-
-
 def init_filter_identity(arch, seed, channels=3):
-    """Filter that starts as the identity map (exactly for res_block).
-
-    res_block zeroes its second conv, so f(x) == x bitwise. The other archs
-    have no skip; they start at a delta kernel plus small zero-mean noise,
-    which is the identity up to that noise (and exactly preserves
-    nonnegative inputs through the ReLU).
-    """
+    """res_block filter that starts as the exact identity: its second conv
+    is zero, so f(x) == x bitwise."""
     if not isinstance(arch, FilterArch):
         arch = FilterArch(arch)
     rng = rng_from(seed, 23)
-
-    def noise(shape, fan_in):
-        a = 0.1 / np.sqrt(fan_in)
-        return rng.uniform(-a, a, size=shape)
-
-    c = channels
-    if arch.name == "res_block":
-        h = arch.hidden
-        params = {
-            "w1": noise((h, c, 3, 3), c * 9),
-            "b1": np.zeros(h),
-            "w2": np.zeros((c, h, 3, 3)),
-            "b2": np.zeros(c),
-        }
-    elif arch.name == "single_conv":
-        params = {
-            "w1": _delta_kernel(c) + noise((c, c, 3, 3), c * 9),
-            "b1": np.zeros(c),
-        }
-    else:  # deep_conv
-        params = {}
-        for i in range(1, 5):
-            params[f"w{i}"] = _delta_kernel(c) + noise((c, c, 3, 3), c * 9)
-            params[f"b{i}"] = np.zeros(c)
-    return Filter(arch, params)
+    c, h = channels, arch.hidden
+    a = 0.1 / np.sqrt(c * 9)
+    return Filter(arch, {
+        "w1": rng.uniform(-a, a, size=(h, c, 3, 3)),
+        "b1": np.zeros(h),
+        "w2": np.zeros((c, h, 3, 3)),
+        "b2": np.zeros(c),
+    })
 
 
-def filter_apply(arch, p, x):
+def filter_apply(p, x):
     """Filter forward, taped on a Var x or tape-free on an array (as base_apply)."""
     conv, act, _, _ = _layers(x)
-    if arch.name == "res_block":
-        h = act(conv(x, p["w1"], p["b1"], 1))
-        return x + conv(h, p["w2"], p["b2"], 1)
-    if arch.name == "single_conv":
-        return act(conv(x, p["w1"], p["b1"], 1))
-    h = x
-    for i in range(1, 5):
-        h = act(conv(h, p[f"w{i}"], p[f"b{i}"], 1))
-    return h
+    h = act(conv(x, p["w1"], p["b1"], 1))
+    return x + conv(h, p["w2"], p["b2"], 1)
 
 
 def filter_forward(filt, x):
     """Apply one filter to a taped Var, binding its params fresh."""
     if not isinstance(x, Var):
         raise ShapeError("filter_forward expects a taped Var; use filter_forward_np for arrays")
-    return filter_apply(filt.arch, bind_params(x.tape, filt.params), x)
+    return filter_apply(bind_params(x.tape, filt.params), x)
 
 
 def filter_forward_np(filt, x):
-    return filter_apply(filt.arch, filt.params, x)
+    return filter_apply(filt.params, x)
 
 
 def filter_param_count(filt):

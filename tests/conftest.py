@@ -67,11 +67,12 @@ def negation_filter(c=3):
 
 
 def projection_filter(channels_kept, c=3):
-    """single_conv keeping a channel subset, ReLU pinned linear."""
+    """f(x) keeps a channel subset and zeroes the rest (input gradient
+    exactly zero there)."""
     k = np.zeros((c, c, 3, 3))
     for ch in channels_kept:
         k[ch, ch, 1, 1] = 1.0
-    return Filter(FilterArch("single_conv"), {"w1": k, "b1": np.full(c, BIG)})
+    return affine_res_filter(k)
 
 
 def linear_base_model(h, w, c=1):

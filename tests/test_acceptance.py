@@ -463,7 +463,6 @@ def test_criterion_9_engineering(desk, tmp_path):
                   "probes": {"p_v": 1, "p_w": 1, "seed": 5}},
         "attacks": [{"kind": "pgd", "norm": "linf", "epsilon": 8 / 255,
                      "steps": 3}],
-        "diagnostics": {"consensus": True, "gradnorm": True},
         "out_dir": str(tmp_path / "m1"),
     })
     m1 = run_experiment(micro)

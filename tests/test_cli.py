@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import warnings
 
 import pytest
@@ -17,7 +18,6 @@ MICRO = {
               "probes": {"p_v": 1, "p_w": 1, "seed": 5}},
     "attacks": [{"kind": "pgd", "norm": "linf", "epsilon": 8 / 255,
                  "steps": 3}],
-    "diagnostics": {"consensus": True, "gradnorm": False},
     "out_dir": "overridden by --out",
 }
 
@@ -36,6 +36,16 @@ def test_train_emits_artifacts(trained_run):
     for name in ("checkpoint.dtns", "metrics.json", "manifest.json",
                  "attacks.csv", "training_log.csv"):
         assert (trained_run / name).exists(), name
+
+
+def test_diagnose_reruns_at_the_run_seed(trained_run):
+    # the run wrote gradnorm.json at its seed 5; diagnose must rewrite the
+    # same bytes from the checkpoint, not redraw at seed 0
+    path = trained_run / "gradnorm.json"
+    written = path.read_bytes()
+    ckpt = str(trained_run / "checkpoint.dtns")
+    assert main(["diagnose", "--checkpoint", ckpt, "--what", "gradnorm"]) == 0
+    assert path.read_bytes() == written
 
 
 def test_attack_subcommand(trained_run, capsys):
@@ -103,7 +113,7 @@ def test_landscape_subcommand(trained_run, capsys):
                  "--what", "landscape"]) == 0
     assert "loss range over the plane" in capsys.readouterr().out
     lines = (trained_run / "landscape.csv").read_text().splitlines()
-    assert lines[:2] == ["tau,grid_n,dir_seed,eot_k", f"{3 / 255!r},41,0,128"]
+    assert lines[:2] == ["tau,grid_n,dir_seed,eot_k", f"{3 / 255!r},41,5,128"]
     rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
     assert len(rows) == 41 and all(len(r) == 41 for r in rows)
 
@@ -175,11 +185,33 @@ def test_checkpoint_without_dataset_meta_is_rejected(tmp_path, capsys):
     assert "dataset metadata" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slot, value, message", [
+    (1, 7, "unknown filter arch code 7"),
+    (None, None, r"shape \(14,\); it needs 15 entries"),
+], ids=["arch_code", "short_meta"])
+@pytest.mark.parametrize("command", [
+    ["attack", "--attack", "pgd", "--eps", "0.03", "--steps", "2"],
+    ["diagnose", "--what", "consensus"],
+], ids=["attack", "diagnose"])
+def test_malformed_checkpoint_metadata_exits_2(trained_run, tmp_path, capsys,
+                                               slot, value, message, command):
+    from drift.dtns import read_tensors, write_tensors
+    tensors = read_tensors(trained_run / "checkpoint.dtns")
+    meta = tensors["__meta__"]
+    if slot is None:
+        meta = meta[:-1]
+    else:
+        meta[slot] = value
+    path = tmp_path / "checkpoint.dtns"
+    write_tensors(path, dict(tensors, __meta__=meta))
+    assert main([command[0], "--checkpoint", str(path)] + command[1:]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.dtns"]
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(dict(MICRO, attacks=[],
-                                        diagnostics={"consensus": False,
-                                                     "gradnorm": False})))
+    cfg_path.write_text(json.dumps(dict(MICRO, attacks=[])))
     monkeypatch.setenv("DRIFT_SEED", "11")
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0

@@ -167,9 +167,10 @@ def _reference_consensus(bank, model, x, y, probe_ws):
 
 
 def _bank_with_a_dead_row():
-    """relu(x - 0.5) passes nothing (and no gradient) for a row below 0.5."""
-    dead = Filter(FilterArch("single_conv"),
-                  {"w1": delta_kernel(3, 3), "b1": np.full(3, -0.5)})
+    """x + relu(0.5 - x) = max(x, 0.5) passes no gradient for a row below 0.5."""
+    dead = Filter(FilterArch("res_block", hidden=3),
+                  {"w1": -delta_kernel(3, 3), "b1": np.full(3, 0.5),
+                   "w2": delta_kernel(3, 3), "b2": np.zeros(3)})
     bank = FilterBank([dead] + micro_bank(2, seed=4, jitter=0.2).filters)
     x, y = small_inputs(n=5)
     x[0] = np.random.default_rng(2).uniform(0.05, 0.45, size=x[0].shape)

@@ -142,7 +142,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_unfrozen_flag_round_trips(tmp_path):
     model = build_base_model((3, 8, 8), 3, seed=1, channels=(4, 8))
-    bank = build_filter_bank("single_conv", 2, seed=0)
+    bank = build_filter_bank("res_block", 2, seed=0)
     path = tmp_path / "ckpt.dtns"
     save_checkpoint(path, bank, model)
     _, model2 = load_checkpoint(path)
@@ -154,6 +154,25 @@ def test_checkpoint_missing_meta_rejected(tmp_path):
     write_tensors(path, {"base.fc_w": np.ones((2, 2))})
     with pytest.raises(DomainError):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_an_unknown_arch_code_is_a_domain_error(tmp_path):
+    path, _, _ = _small_checkpoint(tmp_path, 6, 11)
+    tensors = read_tensors(path)
+    tensors["__meta__"][1] = 7
+    write_tensors(path, tensors)
+    with pytest.raises(DomainError, match="unknown filter arch code 7"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_short_metadata_is_a_domain_error(tmp_path):
+    path, _, _ = _small_checkpoint(tmp_path, 6, 11)
+    tensors = read_tensors(path)
+    tensors["__meta__"] = tensors["__meta__"][:14]
+    write_tensors(path, tensors)
+    for read in (load_checkpoint, checkpoint_meta):
+        with pytest.raises(DomainError, match=r"shape \(14,\); it needs 15"):
+            read(path)
 
 
 def _small_checkpoint(tmp_path, bank_seed, data_seed):

@@ -7,7 +7,7 @@ from drift.attacks import AttackSpec
 from drift.data import generate_synthetic_dataset
 from drift.errors import DomainError, StageError
 from drift.harness import (
-    ATTACK_CSV_FIELDS, DatasetSpec, INFERENCE_TAG,
+    ATTACK_CSV_FIELDS, DIAGNOSTIC_FILES, INFERENCE_TAG,
     MetricsRecord, _write_json, attack_label, config_from_dict, default_config,
     evaluate_robust_accuracy, load_config, measure_overhead,
     rerun_from_manifest, run_experiment, stochastic_predict,
@@ -31,7 +31,6 @@ MICRO = {
         {"kind": "square", "norm": "linf", "epsilon": 8 / 255, "steps": 1,
          "query_budget": 20},
     ],
-    "diagnostics": {"consensus": True, "gradnorm": True},
 }
 
 
@@ -80,8 +79,9 @@ def test_seed_propagates_when_unset():
 
 
 def test_dataset_spec_rejects_non_rgb():
-    with pytest.raises(DomainError):
-        DatasetSpec(channels=1)
+    # synthetic datasets are three-channel; there is no channel count to set
+    with pytest.raises(DomainError, match="^unknown config key dataset.channels$"):
+        config_from_dict({"dataset": {"channels": 1}})
 
 
 def test_config_rejects_unknown_top_level_key():
@@ -103,7 +103,7 @@ def test_config_rejects_unknown_nested_key():
     ("bank", {"k": 0}, "k"),
     ("bank", {"hidden": 0}, "hidden"),
     ("model", {"channels": [0, 0]}, "channels"),
-    ("bank", {"arch": "no_such_arch"}, "arch"),
+    ("model", {"channels": [16]}, "channels"),
     ("train", {"pgd_steps": 0}, "pgd_steps"),
     ("train", {"pgd_steps": -2}, "pgd_steps"),
     ("dataset", {"side": 0}, "side"),
@@ -140,7 +140,6 @@ def test_config_accepts_the_largest_seed():
 def test_default_config_is_complete():
     config = default_config(out_dir="x", seed=3)
     assert config.seed == 3
-    assert config.dataset.channels == 3
     assert config.bank.k == 4
     kinds = {a.kind for a in config.attacks}
     assert {"pgd", "mim", "square"} <= kinds
@@ -304,6 +303,30 @@ def test_manifest_with_a_crn_key_is_rejected(micro_run, tmp_path):
     assert not (tmp_path / "rerun").exists()
 
 
+# config keys removed from the schema, with a value a manifest could carry:
+# dataset.channels had one legal value, bank.arch picked filter families no
+# run trained, and the diagnostics toggles picked what every run writes
+REMOVED_KEYS = {"dataset.channels": 3, "bank.arch": "res_block",
+                "diagnostics": {"consensus": True, "gradnorm": True}}
+
+
+@pytest.mark.parametrize("where", sorted(REMOVED_KEYS))
+def test_manifest_with_a_removed_key_is_rejected(micro_run, tmp_path, where):
+    # a manifest written before the removal is rejected, key path named
+    _, _, out = micro_run
+    manifest = json.loads((out / "manifest.json").read_text())
+    *sections, key = where.split(".")
+    node = manifest["config"]
+    for section in sections:
+        node = node[section]
+    node[key] = REMOVED_KEYS[where]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DomainError, match=f"^unknown config key {where}$"):
+        rerun_from_manifest(path, tmp_path / "rerun")
+    assert not (tmp_path / "rerun").exists()
+
+
 def test_manifest_rerun_reproduces_numbers(micro_run, tmp_path):
     _, metrics, out = micro_run
     again = rerun_from_manifest(out / "manifest.json", tmp_path / "rerun")
@@ -315,16 +338,16 @@ def test_manifest_rerun_reproduces_numbers(micro_run, tmp_path):
             (out / name).read_bytes(), name
 
 
-def test_disabled_diagnostics_emit_nothing(tmp_path):
-    cfg = dict(MICRO, experiment_id="quiet", out_dir=str(tmp_path / "q"),
-               diagnostics={"consensus": False, "gradnorm": False},
-               attacks=[])
-    metrics = run_experiment(config_from_dict(cfg))
-    names = {p.name for p in (tmp_path / "q").iterdir()}
-    assert not names & {"consensus_exact.json", "gradnorm.json",
-                        "mismatch.json", "transfer.csv", "probes.json",
-                        "landscape.csv"}
-    assert metrics.consensus_mean_offdiag is None
+def test_disabled_diagnostics_emit_nothing(micro_run):
+    # a run writes consensus and gradnorm; the other diagnostics run only
+    # through `drift diagnose` and leave no file
+    _, _, out = micro_run
+    names = {p.name for p in out.iterdir()}
+    assert names & set(DIAGNOSTIC_FILES.values()) == {
+        "consensus_exact.json", "gradnorm.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == {"consensus": "consensus_exact.json",
+                                     "gradnorm": "gradnorm.json"}
 
 
 def test_failed_stage_is_tagged_and_leaves_partial_manifest(tmp_path, monkeypatch):

@@ -347,8 +347,8 @@ def _reference_mean_of(terms):
 def _reference_ce(tape, bank, model, x_var, y, bank_pvars):
     model_pvars = bind_params(tape, model.params)
     terms = []
-    for f, pv in zip(bank.filters, bank_pvars):
-        logits = base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
+    for pv in bank_pvars:
+        logits = base_apply(model_pvars, filter_apply(pv, x_var))
         terms.append(mean_all(cross_entropy_rows(logits, y)))
     return _reference_mean_of(terms)
 
@@ -358,8 +358,7 @@ def _reference_js(tape, bank, x_var, probes_v, bank_pvars):
     if k < 2:
         return None
     n = x_var.value.shape[0]
-    outs = [filter_apply(f.arch, pv, x_var)
-            for f, pv in zip(bank.filters, bank_pvars)]
+    outs = [filter_apply(pv, x_var) for pv in bank_pvars]
     terms = []
     for v in probes_v:
         cot = np.broadcast_to(v, (n,) + v.shape).copy()
@@ -375,8 +374,8 @@ def _reference_lvjp(tape, bank, model, x_var, probes_w, bank_pvars,
     k = bank.k
     model_pvars = bind_params(tape, model.params)
     n = x_var.value.shape[0]
-    logits = [base_apply(model_pvars, filter_apply(f.arch, pv, x_var))
-              for f, pv in zip(bank.filters, bank_pvars)]
+    logits = [base_apply(model_pvars, filter_apply(pv, x_var))
+              for pv in bank_pvars]
     logits_id = base_apply(model_pvars, x_var) if include_identity else None
     pair_terms, id_terms = [], []
     for w in probes_w:
@@ -398,8 +397,8 @@ def _reference_lvjp(tape, bank, model, x_var, probes_w, bank_pvars,
 def _reference_adv(tape, bank, model, xadv_var, y, bank_pvars):
     model_pvars = bind_params(tape, model.params)
     worst = None
-    for f, pv in zip(bank.filters, bank_pvars):
-        logits = base_apply(model_pvars, filter_apply(f.arch, pv, xadv_var))
+    for pv in bank_pvars:
+        logits = base_apply(model_pvars, filter_apply(pv, xadv_var))
         ce = cross_entropy_rows(logits, y)
         worst = ce if worst is None else maximum(worst, ce)
     return mean_all(worst)

@@ -66,7 +66,7 @@ def test_identity_init_seeds_differ_but_both_identity():
     assert filter_forward_np(f1, x).tobytes() == filter_forward_np(f2, x).tobytes()
 
 
-@pytest.mark.parametrize("arch", ["single_conv", "res_block", "deep_conv"])
+@pytest.mark.parametrize("arch", ["res_block"])
 def test_filter_shape_preserving(arch):
     f = init_filter_identity(arch, seed=4)
     x = RNG.uniform(0, 1, (1, 3, 12, 12))
@@ -75,7 +75,7 @@ def test_filter_shape_preserving(arch):
     assert filter_forward_np(f, xb).shape == xb.shape
 
 
-@pytest.mark.parametrize("arch", ["single_conv", "res_block", "deep_conv"])
+@pytest.mark.parametrize("arch", ["res_block"])
 def test_filter_vjp_matches_fd(arch):
     f = init_filter_identity(arch, seed=9)
     # move params off the identity so the test is not trivial
@@ -107,12 +107,11 @@ def test_res_block_param_count():
 
 
 def test_taped_and_numpy_filter_match():
-    for arch in ("single_conv", "res_block", "deep_conv"):
-        f = init_filter_identity(arch, seed=5)
-        x = RNG.uniform(0, 1, (2, 3, 8, 8))
-        t = Tape()
-        y = filter_forward(f, t.leaf(x))
-        np.testing.assert_array_equal(y.value, filter_forward_np(f, x))
+    f = init_filter_identity("res_block", seed=5)
+    x = RNG.uniform(0, 1, (2, 3, 8, 8))
+    t = Tape()
+    y = filter_forward(f, t.leaf(x))
+    np.testing.assert_array_equal(y.value, filter_forward_np(f, x))
 
 
 def test_tape_free_forwards_call_the_module_layer_functions(monkeypatch):
@@ -128,10 +127,9 @@ def test_tape_free_forwards_call_the_module_layer_functions(monkeypatch):
     x = np.random.default_rng(0).uniform(0, 1, (2, 3, 8, 8))
     build_base_model((3, 8, 8), 5, seed=3).forward_np(x)
     assert calls == {"np_conv2d": 2, "np_dense": 1}
-    for arch, n_conv in (("single_conv", 1), ("res_block", 2), ("deep_conv", 4)):
-        calls["np_conv2d"] = 0
-        filter_forward_np(init_filter_identity(arch, seed=5), x)
-        assert calls == {"np_conv2d": n_conv, "np_dense": 1}
+    calls["np_conv2d"] = 0
+    filter_forward_np(init_filter_identity("res_block", seed=5), x)
+    assert calls == {"np_conv2d": 2, "np_dense": 1}
 
 
 # -- pretraining and freeze ---------------------------------------------------
@@ -243,13 +241,12 @@ def test_identity_init_ensemble_matches_base_accuracy(desk):
 def test_filter_arch_rejects_degenerate_hidden(hidden):
     with pytest.raises(DomainError, match="hidden must be at least 1"):
         FilterArch("res_block", hidden=hidden)
-    with pytest.raises(DomainError, match="hidden must be at least 1"):
-        build_filter_bank(FilterArch("single_conv", hidden=hidden), 1, seed=0)
 
 
 def test_filter_arch_validation():
-    with pytest.raises(DomainError):
-        FilterArch("resnet50")
+    for name in ("resnet50", "single_conv", "deep_conv"):
+        with pytest.raises(DomainError, match="arch must be 'res_block'"):
+            FilterArch(name)
     with pytest.raises(DomainError):
         build_filter_bank("res_block", 0, seed=0)
 

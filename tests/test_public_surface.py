@@ -27,7 +27,8 @@ RUN_PATHS = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
 
 ALLOWLIST = {
     "training.read_training_log":
-        "reads the training_log.csv run artifact back (ROADMAP item 6)",
+        "reads the training_log.csv run artifact back (ROADMAP item 1: "
+        "per-epoch consensus)",
     "harness.measure_overhead":
         "the inference-overhead gate of acceptance criterion 9",
 }
