@@ -35,12 +35,15 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory():
     """Keep freed kernel buffers in the process instead of returning them.
 
-    The conv kernels allocate im2col and padding buffers of 0.1-30 MB on
-    every call. With glibc's defaults each one is unmapped or trimmed off the
-    heap when freed, and the next call faults the same pages in again: about
-    84k minor faults per whitebox benchmark unit, a tenth of its time. A
-    32 MiB mmap threshold keeps these buffers on the heap, and a 256 MiB trim
-    threshold keeps the freed heap top mapped.
+    The conv kernels allocate buffers on every call: im2col chunks of
+    0.5-6 MB in a forward conv, a whole im2col matrix of up to 15 MB in a
+    kernel gradient at batch 50. With glibc's defaults each freed buffer of
+    128 kB or more is unmapped or trimmed off the heap, and the next call
+    faults the same pages in again: about 84k minor faults per whitebox
+    benchmark unit, a tenth of its time, when forward convs still built
+    whole matrices of up to 28 MB. A 32 MiB mmap threshold keeps these
+    buffers on the heap, and a 256 MiB trim threshold keeps the freed heap
+    top mapped.
 
     Both are set or neither: setting either one turns off glibc's dynamic
     threshold, and one alone was slower than the defaults. A user who sets

@@ -16,7 +16,7 @@ derivative: its ReLU masks enter the backward as constant leaves. So
 lvjp_component computes them off the caller's tape, on a short-lived tape per
 base input, and enters them there as constants; only the filters and their
 backward passes are recorded on the caller's tape. At batch 50 with K=4 that
-tape holds 154 MB after its gradient, against 446 MB with the base on it.
+tape holds 140 MB after its gradient, against 385 MB with the base on it.
 """
 
 from dataclasses import dataclass
@@ -169,7 +169,7 @@ def _batched(probes, n):
     return [np.broadcast_to(p, (n,) + p.shape).copy() for p in probes]
 
 
-def ce_component(tape, bank, model, x_var, y, bank_pvars):
+def ce_component(tape, model, x_var, y, bank_pvars):
     """Mean over batch and filters of CE(M(f_i(x)), y)."""
     logits = _logits(tape, model, x_var, bank_pvars)
     return _mean_of([mean_all(cross_entropy_rows(z, y)) for z in logits])
@@ -189,7 +189,7 @@ def js_component(tape, bank, x_var, probes_v, bank_pvars):
     return _mean_of(pair_terms)
 
 
-def lvjp_component(tape, bank, model, x_var, probes_w, bank_pvars,
+def lvjp_component(tape, model, x_var, probes_w, bank_pvars,
                    include_identity=True):
     """Mean squared cosine between logit-probed input gradients.
 
@@ -210,7 +210,7 @@ def lvjp_component(tape, bank, model, x_var, probes_w, bank_pvars,
     return _mean_of(groups) if groups else None
 
 
-def adv_component(tape, bank, model, xadv_var, y, bank_pvars):
+def adv_component(tape, model, xadv_var, y, bank_pvars):
     """Mean over batch of the worst per-filter CE on perturbed inputs."""
     logits = _logits(tape, model, xadv_var, bank_pvars)
     return mean_all(reduce(maximum, [cross_entropy_rows(z, y) for z in logits]))

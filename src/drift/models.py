@@ -29,8 +29,7 @@ _np_conv = _FORWARD["conv2d"]
 
 def np_conv2d(x, kernel, bias, padding):
     """Tape-free conv forward; same kernel as the taped op, so bitwise equal."""
-    y = _np_conv([x, kernel], int(padding))
-    return y + np.broadcast_to(bias[None, :, None, None], y.shape)
+    return _np_conv([x, kernel, bias], int(padding))
 
 
 # (read-only weight, its C-contiguous transpose) from the last np_dense call

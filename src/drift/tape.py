@@ -10,8 +10,9 @@ weight, no input gradient for a constant input.
 Backward rules are themselves built from recorded primitives, so the result
 of a vjp call is an ordinary node and can be differentiated again. That is
 what lets losses defined on Jacobian probes have exact parameter gradients.
-Every broadcast (biases, row-wise backward terms) is one primitive, `bcast`,
-and every reduction is its adjoint, `sum`; each is the other's backward rule.
+Every broadcast (dense biases, row-wise backward terms) is one primitive,
+`bcast`, and every reduction is its adjoint, `sum`; each is the other's
+backward rule. A conv's bias is a parent of its conv node instead.
 The only non-differentiable pieces are the ReLU/maximum selection masks,
 which enter as constant leaves (their derivative is zero almost everywhere,
 matching the subgradient-at-zero convention), and cross-entropy's one-hot
@@ -127,32 +128,66 @@ def _check_same_shape(a, b, opname):
 
 def _im2col(x, kh, kw, pad, dtype):
     """[N,C,H,W] -> [N*Ho*Wo, kh*kw*C] im2col, columns (i, j, c): one copy of a
-    read-only view of the NHWC input (zero-padded when pad > 0) whose window
-    axes (i, j) step like its rows and columns. Both conv kernels ran 1.1-2.1x
-    faster (batch 1 and 50) than with kh*kw strided slab writes; as_strided
-    gives sliding_window_view's columns at about 6 us less per call."""
+    view of the NHWC input (zero-padded when pad > 0) whose window axes (i, j)
+    step like its rows and columns. Both conv kernels ran 1.1-2.1x faster
+    (batch 1 and 50) than with kh*kw strided slab writes. The view is built
+    with the ndarray constructor over a contiguous buffer: the padded NHWC
+    copy, or x itself (copied only if it is not C-contiguous)."""
     n, c, h, w = x.shape
-    xn = x.transpose(0, 2, 3, 1)
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     if pad:
-        xn = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-        xn[:, pad:pad + h, pad:pad + w, :] = x.transpose(0, 2, 3, 1)
-    ho, wo = xn.shape[1] - kh + 1, xn.shape[2] - kw + 1
-    win = np.lib.stride_tricks.as_strided(
-        xn, (n, ho, wo, kh, kw, c), xn.strides[:3] + xn.strides[1:], writeable=False)
+        buf = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        buf[:, pad:pad + h, pad:pad + w, :] = x.transpose(0, 2, 3, 1)
+        s = buf.strides
+    else:
+        buf = np.ascontiguousarray(x)
+        s = buf.transpose(0, 2, 3, 1).strides
+    win = np.ndarray((n, ho, wo, kh, kw, c), buf.dtype, buf, 0, s[:3] + s[1:])
     return np.ascontiguousarray(win, dtype=dtype).reshape(n * ho * wo, kh * kw * c)
 
 
+# A forward conv whose im2col matrix passes _COL_BYTES builds and multiplies
+# it in chunks of whole images, so each chunk is read back by its GEMM while
+# still in the core's L2 cache (2 MiB on the 2-core Xeon this was tuned on),
+# and its buffers stay far below glibc's 32 MiB mmap threshold (see
+# drift._keep_freed_memory). At batch 50 the desk's four 16x16 convs ran
+# 1.1-2.3x faster than with the whole matrix, and 1 MiB beat 4 MiB by up to
+# 16%. Every chunk's GEMM does more than _CHUNK_MACS multiply-adds: OpenBLAS
+# switches to a small-matrix kernel, with another summation order, at
+# M*N*K <= 1e6 (a 16->3 conv cut into 8-image chunks differed in the last
+# bit), so above this floor each chunk runs the kernel the unchunked call
+# runs and the output stays bitwise equal.
+_COL_BYTES = 1 << 20
+_CHUNK_MACS = 1 << 20
+
+
 def _k_conv2d(vals, ctx):
-    x, k = vals
-    o, c, kh, kw = k.shape
+    """Conv forward, [x, k] or [x, k, bias]; the bias is added to the conv's
+    output, as a separate add of its broadcast would."""
+    x, k, *bias = vals
+    n, c, h, w = x.shape
+    o, _, kh, kw = k.shape
+    ho, wo = h + 2 * ctx - kh + 1, w + 2 * ctx - kw + 1
     dt = np.result_type(x, k)
     k2 = np.ascontiguousarray(k.transpose(2, 3, 1, 0), dtype=dt).reshape(kh * kw * c, o)
-    col = _im2col(x, kh, kw, ctx, dt)
-    out = (col @ k2).reshape(x.shape[0], x.shape[2] + 2 * ctx - kh + 1, -1, o)
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    out = np.empty((n, o, ho, wo), dtype=np.result_type(dt, *bias))
+    per_image = ho * wo * kh * kw * c
+    step = max(_COL_BYTES // (per_image * dt.itemsize), _CHUNK_MACS // (per_image * o) + 1)
+    # a short last chunk is folded into the one before
+    bounds = list(range(step, n - step + 1, step)) + [n]
+    start = 0
+    for stop in bounds:
+        y = _im2col(x[start:stop], kh, kw, ctx, dt) @ k2
+        out[start:stop] = y.reshape(stop - start, ho, wo, o).transpose(0, 3, 1, 2)
+        start = stop
+    if bias:
+        out += bias[0][:, None, None]
+    return out
 
 
 def _k_conv2d_kgrad(vals, ctx):
+    """Kernel gradient, one GEMM over every row: chunking its row reduction
+    would change the summation order."""
     x, gy = vals
     n, o, ho, wo = gy.shape
     kh, kw = x.shape[2] + 2 * ctx - ho + 1, x.shape[3] + 2 * ctx - wo + 1
@@ -335,7 +370,8 @@ def conv2d(x, kernel, bias, padding):
     """2-D cross-correlation plus per-channel bias, stride 1.
 
     x is [N,C,H,W]; kernel [C_out,C_in,k,k]; bias [C_out].
-    With padding = (k-1)/2 the spatial size is preserved.
+    With padding = (k-1)/2 the spatial size is preserved. One node: the
+    bias is the conv's third parent, added by its kernel.
     """
     if x.value.ndim != 4 or kernel.value.ndim != 4:
         raise ShapeError("conv2d expects image [N,C,H,W] and kernel [O,C,k,k]")
@@ -350,8 +386,7 @@ def conv2d(x, kernel, bias, padding):
     pad = int(padding)
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ShapeError("conv2d: kernel larger than padded input")
-    y = _conv2d_raw(x, kernel, pad)
-    return add(y, _bcast(bias, y.value.shape, (0, 2, 3)))
+    return x.tape._record("conv2d", (x, kernel, bias), pad)
 
 
 def dense(x, w, b):
@@ -475,8 +510,12 @@ def _bwd_conv2d(tape, node, ni, g, need):
     x, k = _pvar(tape, node, 0), _pvar(tape, node, 1)
     pad = node.ctx
     kh = k.value.shape[2]
+    # the bias gradient is recorded before the data and kernel gradients: a
+    # vjp through this backward sums its contributions in that order, which
+    # keeps second-order gradients bitwise equal to earlier releases
+    db = _sum(g, (0, 2, 3)) if len(need) == 3 and need[2] else None
     return _pick(node, need, lambda: _conv2d_raw(g, _swap_flip(k), kh - 1 - pad),
-                 lambda: _conv2d_kgrad(x, g, pad))
+                 lambda: _conv2d_kgrad(x, g, pad), lambda: db)
 
 
 def _bwd_conv2d_kgrad(tape, node, ni, g, need):

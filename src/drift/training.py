@@ -6,9 +6,9 @@ warmup; the worst-case-filter term on base-model PGD points after its
 warmup. Component gradients are computed on separate tapes (bounds peak
 memory), weighted, summed, sanitized, globally clipped, and applied with
 AdamW. The base model is frozen throughout; only filter parameters move.
-At batch 50 with K=4 the tapes hold ce 212, js 140, lvjp 154 and adv 212 MB
+At batch 50 with K=4 the tapes hold ce 160, js 125, lvjp 140 and adv 160 MB
 after their gradients; the lvjp term pulls its probes back through the base
-on short-lived tapes of 60 MB each.
+on short-lived tapes of 50 MB each.
 """
 
 import csv
@@ -194,7 +194,7 @@ def train_drift(model, bank, dataset, config):
                     acc[k] += weight * g.value
 
             run_component(
-                lambda t, pv: ce_component(t, bank, model, t.leaf(xb), yb, pv),
+                lambda t, pv: ce_component(t, model, t.leaf(xb), yb, pv),
                 w.alpha, "ce")
             if use_js:
                 pv_seed = [config.probes.seed, epoch, b]
@@ -208,14 +208,14 @@ def train_drift(model, bank, dataset, config):
                 probes_w = draw_logit_probes(config.probes.p_w,
                                              model.k_classes, pw_seed)
                 run_component(
-                    lambda t, pv: lvjp_component(t, bank, model, t.leaf(xb),
+                    lambda t, pv: lvjp_component(t, model, t.leaf(xb),
                                                  probes_w, pv),
                     w.beta_lvjp, "lvjp")
             if use_adv:
                 xadv, _ = pgd(oracle, xb, yb, inner_spec)
                 run_component(
-                    lambda t, pv: adv_component(t, bank, model, t.leaf(xadv),
-                                                yb, pv),
+                    lambda t, pv: adv_component(t, model, t.leaf(xadv), yb,
+                                                pv),
                     w.lambda_adv, "adv")
 
             try:

@@ -1,5 +1,7 @@
 """Attack suite: closed-form oracles, projections, determinism, threat models."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -554,6 +556,35 @@ def test_square_attack_tiny_epsilon_no_success(attack_setup):
     x_adv, success, _ = square_attack(base_score(model), xs, ys, spec)
     assert not success.any()
     assert np.allclose(x_adv, xs, atol=2e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the filter that scores a Square proposal is drawn "
+                   "from the proposal's own stream (ROADMAP item 8)")
+def test_square_filter_draw_is_independent_of_the_square_position():
+    # a score that never improves keeps delta at zero, so each proposal is
+    # x0 plus its one square; the filter is drawn as ensemble_margin_score
+    # draws it, from the row seed the attack passes
+    k, n, h = 4, 200, 16
+    x0 = np.full((n, 3, h, h), 0.5)
+    seen = {}
+
+    def score(x, y, row_seeds):
+        filters = attacks_module.draw_counts(k, [[s] for s in row_seeds]).argmax(axis=1)
+        for img, f in zip(x, filters):
+            rows = np.flatnonzero(np.abs(img - 0.5).max(axis=(0, 2)) > 0)
+            if rows.size:
+                seen.setdefault(rows.size, set()).add((int(rows[0]), int(f)))
+        return np.zeros(len(x))
+
+    square_attack(score, x0, np.zeros(n, dtype=np.int64),
+                  AttackSpec(kind="square", epsilon=0.1, query_budget=200, seed=7))
+    # a broken precondition fails the test outright: only the pairs check
+    # below is the expected failure
+    if sorted(seen) != [1, 2, 4, 8]:
+        pytest.fail(f"square sides {sorted(seen)}, expected [1, 2, 4, 8]")
+    for side, pairs in seen.items():
+        assert pairs == set(product(range(h - side + 1), range(k))), side
 
 
 def test_square_attack_determinism_stochastic_defense(attack_setup):

@@ -29,16 +29,17 @@ RNG = np.random.default_rng(314)
 def value(component, bank, pre, x, arg, **kw):
     """Float value of a taped loss component built on a fresh tape, with the
     bank bound on it; None when the component is skipped. pre holds the
-    arguments between bank and the input Var (the model, or none for js)."""
+    arguments between the tape and the input Var (the bank for js, the model
+    for the others)."""
     tape = Tape()
     x_var = tape.leaf(np.asarray(x, dtype=np.float64))
-    out = component(tape, bank, *pre, x_var, arg, bind_bank(tape, bank), **kw)
+    out = component(tape, *pre, x_var, arg, bind_bank(tape, bank), **kw)
     return None if out is None else float(out.value)
 
 
 def js_value(bank, x, p_v, seed):
     v = draw_input_probes(p_v, np.shape(x)[1:], seed)
-    return value(js_component, bank, (), x, v)
+    return value(js_component, bank, (bank,), x, v)
 
 
 def lvjp_value(bank, model, x, p_w, seed, include_identity=True):
@@ -302,14 +303,14 @@ def test_component_param_gradients_match_fd(component):
         pvars = bind_bank(tape, bank)
         xv = tape.leaf(x)
         if component == "ce":
-            out = ce_component(tape, bank, model, xv, y, bank_pvars=pvars)
+            out = ce_component(tape, model, xv, y, bank_pvars=pvars)
         elif component == "js":
             out = js_component(tape, bank, xv, probes_v, bank_pvars=pvars)
         elif component == "lvjp":
-            out = lvjp_component(tape, bank, model, xv, probes_w,
+            out = lvjp_component(tape, model, xv, probes_w,
                                  include_identity=True, bank_pvars=pvars)
         else:
-            out = adv_component(tape, bank, model, tape.leaf(xadv), y, bank_pvars=pvars)
+            out = adv_component(tape, model, tape.leaf(xadv), y, bank_pvars=pvars)
         if not return_grad:
             return float(out.value)
         wrt = [pv[k] for pv in pvars for k in sorted(pv)]
@@ -415,20 +416,20 @@ def test_components_match_reference_builders(component, k):
     probes_v = draw_input_probes(2, x.shape[1:], seed=33)
     probes_w = draw_logit_probes(2, 3, seed=34)
     builders = {
-        "ce": (lambda t, xv, pv: ce_component(t, bank, model, xv, y, pv),
+        "ce": (lambda t, xv, pv: ce_component(t, model, xv, y, pv),
                lambda t, xv, pv: _reference_ce(t, bank, model, xv, y, pv)),
         "js": (lambda t, xv, pv: js_component(t, bank, xv, probes_v, pv),
                lambda t, xv, pv: _reference_js(t, bank, xv, probes_v, pv)),
-        "lvjp": (lambda t, xv, pv: lvjp_component(t, bank, model, xv, probes_w,
+        "lvjp": (lambda t, xv, pv: lvjp_component(t, model, xv, probes_w,
                                                   pv, include_identity=True),
                  lambda t, xv, pv: _reference_lvjp(t, bank, model, xv,
                                                    probes_w, pv, True)),
         "lvjp_no_id": (lambda t, xv, pv: lvjp_component(
-                           t, bank, model, xv, probes_w, pv,
+                           t, model, xv, probes_w, pv,
                            include_identity=False),
                        lambda t, xv, pv: _reference_lvjp(t, bank, model, xv,
                                                          probes_w, pv, False)),
-        "adv": (lambda t, xv, pv: adv_component(t, bank, model, xv, y, pv),
+        "adv": (lambda t, xv, pv: adv_component(t, model, xv, y, pv),
                 lambda t, xv, pv: _reference_adv(t, bank, model, xv, y, pv)),
     }
 
@@ -471,17 +472,16 @@ def test_lvjp_records_no_base_on_the_callers_tape(include_identity):
     x = np.random.default_rng(42).uniform(0.1, 0.9, (3, 3, 4, 4))
     probes_w = draw_logit_probes(2, 3, seed=43)
 
-    def tape_after(build):
+    def tape_after(build, *pre):
         tape = Tape()
         pvars = bind_bank(tape, bank)
-        out = build(tape, bank, model, tape.leaf(x), probes_w, pvars,
-                    include_identity)
+        out = build(tape, *pre, tape.leaf(x), probes_w, pvars, include_identity)
         grad(tape, out, [v for pv in pvars for v in pv.values()])
         return tape
 
     # the check sees the base where the full-tape reference binds it
-    assert _base_leaves(tape_after(_reference_lvjp), model)
-    assert _base_leaves(tape_after(lvjp_component), model) == []
+    assert _base_leaves(tape_after(_reference_lvjp, bank, model), model)
+    assert _base_leaves(tape_after(lvjp_component, model), model) == []
 
 
 def test_base_vjps_match_one_tape():

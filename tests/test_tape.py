@@ -1,5 +1,6 @@
 """Autodiff core: finite-difference oracles, closed forms, vjp contract."""
 
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import micro_bank
 from drift import ShapeError, TapeError
+from drift import tape as tape_module
 from drift.attacks import _pipeline_loss_grad
 from drift.losses import (
     ProbeConfig, bind_bank, ce_component, draw_logit_probes, lvjp_component,
 )
 from drift.models import build_base_model, pretrain_and_freeze
 from drift.tape import (
-    _BACKWARD, _FORWARD, Tape, _bcast, _pick, _sum, add, conv2d,
+    _BACKWARD, _FORWARD, Tape, Var, _bcast, _pick, _sum, add, conv2d,
     cross_entropy_rows, dense, dot_rows, div, grad, logsumexp_rows, matmul,
     maximum, mul, relu, reshape, rows_scale, scale, sqrt, sub, sum_all, vjp,
 )
@@ -325,6 +327,87 @@ def test_conv_kernels_bitwise_equal_slab_reference_mixed_dtype():
                           _slab_conv2d_kgrad([x, gy], 1))
 
 
+@pytest.mark.parametrize("col_bytes", ["default", 1])
+@pytest.mark.parametrize("c, o", [(3, 16), (16, 3), (16, 32), (32, 16)])
+@pytest.mark.parametrize("n", [9, 10, 11, 50, 200])
+def test_conv_forward_in_chunks_bitwise_equal_slab_reference(monkeypatch, n, c, o,
+                                                              col_bytes):
+    # the desk's 16x16 convs at batch sizes that cut the im2col matrix into
+    # chunks, folding a short last one; a 1-byte budget leaves each chunk as
+    # few images as the multiply-add floor allows
+    if col_bytes != "default":
+        monkeypatch.setattr(tape_module, "_COL_BYTES", col_bytes)
+    rng = np.random.default_rng(n * 100 + c + o)
+    x = rng.standard_normal((n, c, 16, 16))
+    k = rng.standard_normal((o, c, 3, 3))
+    y = _FORWARD["conv2d"]([x, k], 1)
+    assert y.flags.c_contiguous
+    assert np.array_equal(y, _slab_conv2d([x, k], 1))
+
+
+def test_biased_conv_records_one_node_and_sums_its_bias_gradient():
+    r = np.random.default_rng(12)
+    t = Tape()
+    xv, kv, bv = t.leaf(r.standard_normal((3, 2, 5, 5))), \
+        t.leaf(r.standard_normal((4, 2, 3, 3))), t.leaf(r.standard_normal(4))
+    before = len(t)
+    y = conv2d(xv, kv, bv, padding=1)
+    assert len(t) == before + 1
+    assert t.nodes[y.index].op == "conv2d"
+    assert t.nodes[y.index].parents == (xv.index, kv.index, bv.index)
+    g = r.standard_normal(y.shape)
+    (gb,) = vjp(t, y, g, [bv])
+    assert gb.value.tobytes() == g.sum((0, 2, 3)).tobytes()
+
+
+def _old_bwd_conv2d(tape, node, ni, g, need):
+    """conv2d's rule before the bias joined the conv node (two parents)."""
+    x, k = Var(tape, node.parents[0]), Var(tape, node.parents[1])
+    kh = k.value.shape[2]
+    return _pick(node, need, lambda: tape._record(
+        "conv2d", (g, tape._record("swap_flip", (k,))), kh - 1 - node.ctx),
+        lambda: tape._record("conv2d_kgrad", (x, g), node.ctx))
+
+
+def _old_conv2d(x, kernel, bias, padding):
+    """The composite as it was: an unbiased conv node, the bias's broadcast
+    and their sum."""
+    y = x.tape._record("conv2d", (x, kernel), int(padding))
+    return add(y, _bcast(bias, y.value.shape, (0, 2, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_biased_conv_is_byte_equal_to_the_graph_it_replaced(monkeypatch, dtype):
+    r = np.random.default_rng(13)
+    x = r.uniform(0, 1, (12, 3, 8, 8)).astype(dtype)
+    params = [(0.3 * r.standard_normal(shape)).astype(dtype)
+              for shape in ((16, 3, 3, 3), (16,), (3, 16, 3, 3), (3,))]
+    u = r.standard_normal(x.shape).astype(dtype)
+
+    def run(conv):
+        # a res_block and its vjp into the input and every parameter, then
+        # the gradient of a loss on all of them: second order through every
+        # conv, both biases and the kernel and bias gradients
+        t = Tape()
+        xv = t.leaf(x)
+        ps = [t.leaf(p) for p in params]
+        w1, b1, w2, b2 = ps
+        y = add(xv, conv(relu(conv(xv, w1, b1, 1)), w2, b2, 1))
+        firsts = vjp(t, y, u, [xv] + ps)
+        loss = reduce(add, [sum_all(mul(v, v)) for v in [y] + firsts])
+        return t, [v.value for v in [y, loss] + firsts + grad(t, loss, ps)]
+
+    t_new, new = run(conv2d)
+    # the old graph, with the old kernel and rule: unchunked and two parents
+    monkeypatch.setitem(_FORWARD, "conv2d", _slab_conv2d)
+    monkeypatch.setitem(_BACKWARD, "conv2d", _old_bwd_conv2d)
+    t_old, old = run(_old_conv2d)
+    assert len(t_old) - len(t_new) == 2 * 2  # bcast and add per biased conv
+    for a, b in zip(new, old):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+
+
 # -- softmax cross-entropy ---------------------------------------------------
 
 def xent(zv, label):
@@ -590,6 +673,7 @@ _RULE_CASES = [(op, op, shapes, ctx) for op, shapes, ctx in [
     ("matmul", ((3, 4), (4, 2)), None),
     ("rows_scale", ((3, 4), (3,)), None), ("dot_rows", ((3, 4), (3, 4)), None),
     ("conv2d", ((2, 3, 5, 5), (4, 3, 3, 3)), 1),
+    ("conv2d", ((2, 3, 5, 5), (4, 3, 3, 3), (4,)), 1),
     ("conv2d_kgrad", ((2, 3, 5, 5), (2, 4, 5, 5)), 1),
     ("swap_flip", ((4, 3, 3, 3),), None),
     ("logsumexp_rows", ((3, 4),), None), ("softmax_rows", ((3, 4),), None),
@@ -760,7 +844,8 @@ def _compute_then_drop(monkeypatch):
 
 def _kernel_calls(monkeypatch, record=None):
     """Count conv2d / conv2d_kgrad / matmul kernel runs; `record` (optional)
-    receives each conv2d call's (input, kernel) values."""
+    receives each conv2d call's values: (input, kernel), plus the bias of a
+    forward conv."""
     calls = dict.fromkeys(("conv2d", "conv2d_kgrad", "matmul"), 0)
     for op in calls:
         def counted(vals, ctx, op=op, kernel=_FORWARD[op]):
@@ -801,7 +886,7 @@ def test_bank_gradient_of_ce_runs_no_conv_into_the_input(monkeypatch, every_flag
     _kernel_calls(monkeypatch, convs)
     tape = Tape()
     pvars = bind_bank(tape, bank)
-    out = ce_component(tape, bank, model, tape.leaf(x), np.array([1, 2]), pvars)
+    out = ce_component(tape, model, tape.leaf(x), np.array([1, 2]), pvars)
     convs.clear()
     grad(tape, out, [v for pv in pvars for v in pv.values()])
     # a data-gradient conv into the input batch runs with a first-layer
@@ -822,7 +907,7 @@ def test_pretraining_runs_no_conv_into_its_input_batch(monkeypatch, every_flag):
                         lr=1e-3, batch_size=4)
     # the base's first conv maps 3 channels to 4, so only its data gradient
     # has a kernel with 3 output channels
-    into_input = sum(k.shape[0] == 3 for _, k in convs)
+    into_input = sum(vals[1].shape[0] == 3 for vals in convs)
     assert into_input == (2 if every_flag else 0)
     assert calls["conv2d_kgrad"] == 2 * 2
 
@@ -836,7 +921,7 @@ def test_second_order_gradient_bitwise_equal_to_compute_then_drop(monkeypatch):
     def run():
         tape = Tape()
         pvars = bind_bank(tape, bank)
-        out = lvjp_component(tape, bank, model, tape.leaf(x), probes_w, pvars)
+        out = lvjp_component(tape, model, tape.leaf(x), probes_w, pvars)
         gs = grad(tape, out, [v for pv in pvars for v in pv.values()])
         return [v.value.tobytes() for v in [out] + gs], len(tape)
 
