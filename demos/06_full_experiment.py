@@ -2,8 +2,9 @@
 the attack suite, diagnostics, and a manifest that reproduces it all.
 
 This is the same entry point the CLI uses (`drift train --config ...`).
-Scaled down here so it finishes in about a minute; the full desk-scale
-config is default_config().
+Scaled down here so it finishes in about a minute: a smaller task, bank and
+schedule. Every key it leaves out, the loss weights among them, takes the
+desk value; `{}` is the full desk-scale config, default_config().
 """
 
 import json

@@ -37,7 +37,7 @@ SQUARE_TAG = 61
 class AttackSpec:
     kind: str = "pgd"
     norm: str = "linf"
-    epsilon: float = 4 / 255
+    epsilon: float = 8 / 255
     steps: int = 40
     step_size: float = None
     momentum_decay: float = 1.0

@@ -11,6 +11,7 @@ their inputs (checkpoint directory or --out).
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +55,13 @@ def cmd_train(args):
 
 
 def cmd_attack(args):
-    spec = AttackSpec(kind=args.attack, norm=args.norm, epsilon=args.eps,
-                      steps=args.steps, eot_samples=args.eot,
-                      bpda_identity=args.bpda, seed=args.seed)
+    # the flags given; AttackSpec's defaults fill the rest
+    spec = AttackSpec(**{f.name: getattr(args, f.name)
+                         for f in fields(AttackSpec) if hasattr(args, f.name)})
     bank, model, eval_split = _load_for_eval(args.checkpoint)
     out = Path(args.checkpoint).parent / f"attack_{attack_label(spec)}.csv"
     metrics = evaluate_robust_accuracy(bank, model, eval_split, [spec],
-                                       inference_seed=args.seed,
+                                       inference_seed=spec.seed,
                                        csv_path=out)
     label = attack_label(spec)
     print(f"clean accuracy: {metrics.clean_accuracy:.2f}%")
@@ -153,15 +154,17 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("attack", help="evaluate one attack on a checkpoint")
+    p = sub.add_parser("attack", help="evaluate one attack on a checkpoint",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--attack", required=True, choices=("pgd", "mim", "square"))
-    p.add_argument("--norm", default="linf", choices=("linf", "l2"))
-    p.add_argument("--eps", type=float, default=8 / 255)
-    p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--eot", type=int, default=0)
-    p.add_argument("--bpda", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--attack", dest="kind", required=True,
+                   choices=("pgd", "mim", "square"))
+    p.add_argument("--norm", choices=("linf", "l2"))
+    p.add_argument("--eps", dest="epsilon", type=float)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--eot", dest="eot_samples", type=int)
+    p.add_argument("--bpda", dest="bpda_identity", action="store_true")
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("diagnose", help="run one diagnostic on a checkpoint")

@@ -28,7 +28,6 @@ from .diagnostics import (
 )
 from .dtns import save_checkpoint
 from .errors import DomainError, StageError
-from .losses import ProbeConfig
 from .models import (
     FilterArch, build_base_model, build_filter_bank, filter_forward_np,
     filter_param_count, pretrain_and_freeze, routed_forward,
@@ -96,53 +95,71 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _section(cls, d, path, **defaults):
+# The desk's attack suite: each names its kind and the fields that differ
+# from AttackSpec's defaults.
+DESK_ATTACKS = (
+    {"kind": "pgd"},
+    {"kind": "mim"},
+    {"kind": "pgd", "epsilon": 6 / 255, "eot_samples": 5},
+    {"kind": "square", "steps": 1, "query_budget": 800},
+)
+
+
+def _section(cls, d, path, seed):
     """cls built from the config object d found at key path `path`.
 
-    Keys missing from d take `defaults`, then the field defaults; nested
-    config objects are built the same way. Unknown keys and invalid values
-    raise DomainError naming their key path. Every seed (`seed`, `*_seed`)
-    must be an integer in [0, 2^63 - 1], the range checkpoints store.
+    Keys missing from d take the field defaults, except seeds (`seed`,
+    `*_seed`), which take the master seed `seed` at any depth; a missing
+    nested config object is built from {}. Every seed d gives must be an
+    integer in [0, 2^63 - 1], the range checkpoints store. Unknown keys and
+    invalid values raise DomainError naming their key path.
     """
     if not isinstance(d, dict):
         raise DomainError(f"config {path} must be an object")
     types = {f.name: f.type for f in fields(cls)}
-    d = dict(d)
+    seeds = [key for key in types if key == "seed" or key.endswith("_seed")]
     for key, value in d.items():
         where = f"{path}.{key}" if path else key
         if key not in types:
             raise DomainError(f"unknown config key {where}")
-        if (key == "seed" or key.endswith("_seed")) and not (
-                isinstance(value, (int, np.integer)) and 0 <= value < 2 ** 63):
+        if key in seeds and (isinstance(value, bool) or not (
+                isinstance(value, (int, np.integer)) and 0 <= value < 2 ** 63)):
             raise DomainError(
                 f"config {where} must be an integer in [0, 2^63 - 1], "
                 f"got {value!r}")
-        if is_dataclass(types[key]) and isinstance(value, dict):
-            d[key] = _section(types[key], value, where)
+    d = dict(dict.fromkeys(seeds, seed), **d)
+    for key, kind in types.items():
+        if is_dataclass(kind):
+            d[key] = _section(kind, d.get(key, {}),
+                              f"{path}.{key}" if path else key, seed)
     try:
-        return cls(**dict(defaults, **d))
+        return cls(**d)
     except (DomainError, TypeError) as exc:
         raise DomainError(f"config {path}: {exc}") from exc
 
 
 def config_from_dict(d):
-    """Build a config from its JSON form; DRIFT_SEED overrides the seed.
+    """Build a config from its JSON form; {} is the desk config.
 
-    The master seed is the default of every nested seed. Unknown keys and
-    invalid values, at any depth, raise DomainError naming their key path.
+    DRIFT_SEED, when set, overrides the master seed `seed`, and the master
+    seed fills every seed left unset at any depth. Without an `attacks` key
+    the run takes DESK_ATTACKS; `[]` runs none. Unknown keys and invalid
+    values, at any depth, raise DomainError naming their key path.
     """
     if not isinstance(d, dict):
         raise DomainError("config must be a JSON object")
-    seed = int(os.environ.get("DRIFT_SEED", d.get("seed", 0)))
-    attacks = [_section(AttackSpec, a, f"attacks[{j}]", seed=seed)
-               for j, a in enumerate(d.get("attacks", []))]
-    _check_unique_labels(attacks)
-    return _section(ExperimentConfig, dict(
-        d, seed=seed, inference_seed=int(d.get("inference_seed", seed)),
-        dataset=_section(DatasetSpec, d.get("dataset", {}), "dataset", seed=seed),
-        train=_section(TrainConfig, d.get("train", {}), "train", seed=seed,
-                       probes=ProbeConfig(seed=seed)),
-        attacks=attacks), "")
+    d = dict(d)
+    env_seed = os.environ.get("DRIFT_SEED")
+    if env_seed is not None:
+        if not (env_seed.strip().isdecimal() and int(env_seed) < 2 ** 63):
+            raise DomainError(f"DRIFT_SEED must be an integer in [0, 2^63 - 1], "
+                              f"got {env_seed!r}")
+        d["seed"] = int(env_seed)
+    seed = d.get("seed", 0)
+    d["attacks"] = [_section(AttackSpec, a, f"attacks[{j}]", seed)
+                    for j, a in enumerate(d.get("attacks", DESK_ATTACKS))]
+    _check_unique_labels(d["attacks"])
+    return _section(ExperimentConfig, d, "", seed)
 
 
 def load_config(path):
@@ -151,36 +168,9 @@ def load_config(path):
 
 
 def default_config(out_dir="runs/default", seed=0):
-    """Desk-scale defaults: minutes of CPU, every stage exercised."""
-    eps = 8 / 255
-    return config_from_dict({
-        "experiment_id": "desk-default",
-        "seed": seed,
-        "dataset": {"classes": 10, "side": 16, "n_per_class": 40},
-        "model": {"pretrain_epochs": 30, "pretrain_lr": 1e-3},
-        "bank": {"k": 4, "hidden": 16},
-        "train": {
-            # Low CE weight: the pull toward the (perfect-accuracy) base
-            # behavior sets the separation equilibrium, and the clean margin
-            # on this task leaves plenty of room. Short adversarial tail:
-            # the worst-filter term re-aligns the bank fast once active.
-            "epochs": 14, "batch_size": 50, "lr": 1e-3,
-            "weight_decay": 1e-4,
-            "weights": {"alpha": 0.1, "beta_js": 1.0, "beta_lvjp": 1.0},
-            "w_js": 1, "w_lvjp": 1, "w_adv": 12,
-            "pgd_epsilon": 4 / 255, "pgd_steps": 10,
-            "probes": {"p_v": 2, "p_w": 2, "seed": seed},
-        },
-        "attacks": [
-            {"kind": "pgd", "norm": "linf", "epsilon": eps, "steps": 40},
-            {"kind": "mim", "norm": "linf", "epsilon": eps, "steps": 40},
-            {"kind": "pgd", "norm": "linf", "epsilon": 6 / 255, "steps": 40,
-             "eot_samples": 5},
-            {"kind": "square", "norm": "linf", "epsilon": eps, "steps": 1,
-             "query_budget": 800},
-        ],
-        "out_dir": str(out_dir),
-    })
+    """The desk config (minutes of CPU, every stage exercised) at master
+    seed `seed`, writing under out_dir."""
+    return config_from_dict({"seed": seed, "out_dir": str(out_dir)})
 
 
 # ---------------------------------------------------------------------------
@@ -317,32 +307,25 @@ def measure_overhead(bank, model, n_trials=200):
     """Median single-input forward times, their ratio, parameter bytes.
 
     Each trial times one base forward and one defended forward back to back,
-    so a slow phase of the machine hits both medians alike. bank=None times
-    the undefended forward on both sides (ratio ~ 1). param_bytes is the
-    per-filter footprint; bank_param_bytes the total.
+    so a slow phase of the machine hits both medians alike. param_bytes is
+    the per-filter footprint; bank_param_bytes the total.
     """
     if n_trials < 100:
         raise DomainError("need at least 100 trials for a stable median")
     c, h, w = model.image_shape
     x = np.random.default_rng(97).uniform(0.0, 1.0, size=(1, c, h, w))
+    counter = {"i": 0}
 
     def base():
         model.forward_np(x)
 
-    if bank is None or bank.k == 0:
-        defended = base
-        pbytes = 0
-        total = 0
-    else:
-        counter = {"i": 0}
-
-        def defended():
-            f = bank.filters[counter["i"] % bank.k]
-            counter["i"] += 1
-            model.forward_np(filter_forward_np(f, x))
-        itemsize = next(iter(bank.filters[0].params.values())).itemsize
-        pbytes = filter_param_count(bank.filters[0]) * itemsize
-        total = sum(filter_param_count(f) for f in bank.filters) * itemsize
+    def defended():
+        f = bank.filters[counter["i"] % bank.k]
+        counter["i"] += 1
+        model.forward_np(filter_forward_np(f, x))
+    itemsize = next(iter(bank.filters[0].params.values())).itemsize
+    pbytes = filter_param_count(bank.filters[0]) * itemsize
+    total = sum(filter_param_count(f) for f in bank.filters) * itemsize
     ts = np.empty((n_trials, 2))
     for t in range(n_trials):
         for j, fn in enumerate((base, defended)):

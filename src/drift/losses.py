@@ -36,9 +36,12 @@ from .tape import (
 
 @dataclass
 class LossWeights:
-    alpha: float = 1.0
-    beta_js: float = 0.5
-    beta_lvjp: float = 0.5
+    # Low CE weight: the pull toward the (perfect-accuracy) base behavior
+    # sets the separation equilibrium, and the clean margin on the desk task
+    # leaves plenty of room.
+    alpha: float = 0.1
+    beta_js: float = 1.0
+    beta_lvjp: float = 1.0
     lambda_adv: float = 1.0
 
     def __post_init__(self):
@@ -49,8 +52,8 @@ class LossWeights:
 
 @dataclass
 class ProbeConfig:
-    p_v: int = 5
-    p_w: int = 5
+    p_v: int = 2
+    p_w: int = 2
     seed: int = 0
 
     def __post_init__(self):

@@ -37,14 +37,16 @@ LOG_FIELDS = ("epoch", *(f.name for f in fields(LossBreakdown)), "grad_norm",
 
 @dataclass
 class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 100
+    epochs: int = 14
+    batch_size: int = 50
     lr: float = 1e-3
     weight_decay: float = 1e-4
     weights: LossWeights = field(default_factory=LossWeights)
-    w_js: int = 5
-    w_lvjp: int = 5
-    w_adv: int = 10
+    # Short adversarial tail: the worst-filter term re-aligns the bank fast
+    # once active.
+    w_js: int = 1
+    w_lvjp: int = 1
+    w_adv: int = 12
     pgd_epsilon: float = 4 / 255
     pgd_steps: int = 10
     pgd_step_size: float = None   # defaults to epsilon / steps

@@ -59,6 +59,13 @@ def test_attack_subcommand(trained_run, capsys):
     assert csvs and "eot2" in csvs[0].name
 
 
+def test_attack_flags_left_unset_take_the_spec_defaults(trained_run):
+    ckpt = str(trained_run / "checkpoint.dtns")
+    assert main(["attack", "--checkpoint", ckpt, "--attack", "pgd",
+                 "--steps", "2"]) == 0
+    assert (trained_run / "attack_pgd-linf-eps0.0313725.csv").exists()
+
+
 def test_attack_bpda_flag(trained_run, capsys):
     ckpt = str(trained_run / "checkpoint.dtns")
     assert main(["attack", "--checkpoint", ckpt, "--attack", "pgd",
@@ -218,3 +225,14 @@ def test_seed_env_override(tmp_path, monkeypatch):
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 11
     assert manifest["config"]["dataset"]["seed"] == 11
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1", str(2 ** 63)])
+def test_malformed_seed_env_exits_2(tmp_path, monkeypatch, capsys, value):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(MICRO))
+    monkeypatch.setenv("DRIFT_SEED", value)
+    assert main(["train", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "DRIFT_SEED must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

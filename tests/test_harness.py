@@ -78,6 +78,20 @@ def test_seed_propagates_when_unset():
     assert config.attacks[0].seed == 7
 
 
+def test_seed_fills_a_partly_given_nested_section(monkeypatch):
+    body = {"seed": 7, "train": {"probes": {"p_v": 1}}}
+    config = config_from_dict(body)
+    assert config.train.probes.p_v == 1
+    assert config.train.probes.seed == 7
+    monkeypatch.setenv("DRIFT_SEED", "9")
+    assert config_from_dict(body).train.probes.seed == 9
+
+
+def test_empty_config_is_the_desk_config():
+    assert config_from_dict({}).to_dict() == default_config().to_dict()
+    assert config_from_dict({"attacks": []}).attacks == []
+
+
 def test_dataset_spec_rejects_non_rgb():
     # synthetic datasets are three-channel; there is no channel count to set
     with pytest.raises(DomainError, match="^unknown config key dataset.channels$"):
@@ -125,6 +139,10 @@ def test_config_rejects_degenerate_specs(section, body, key):
     ({"train": {"probes": {"seed": 2 ** 64}}}, "train.probes.seed"),
     ({"attacks": [{"kind": "pgd"}, {"seed": -3}]}, r"attacks\[1\].seed"),
     ({"dataset": {"seed": 1.5}}, "dataset.seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"inference_seed": 1.5}, "inference_seed"),
+    ({"seed": True}, "seed"),
 ])
 def test_config_rejects_seeds_outside_int64(body, where):
     with pytest.raises(DomainError, match=f"config {where} must be an integer"):
@@ -151,13 +169,15 @@ def test_config_rejects_attacks_sharing_a_label():
     # each other's robust_accuracy entry
     with pytest.raises(DomainError, match=r"config attacks\[0\] and attacks\[1\] "
                                           r"share the label pgd-linf-eps0.0156863$"):
-        config_from_dict({"attacks": [{"kind": "pgd", "steps": 10},
-                                      {"kind": "pgd", "steps": 40}]})
+        config_from_dict({"attacks": [
+            {"kind": "pgd", "epsilon": 4 / 255, "steps": 10},
+            {"kind": "pgd", "epsilon": 4 / 255, "steps": 40}]})
     with pytest.raises(DomainError, match=r"attacks\[1\] and attacks\[2\] share "
                                           r"the label pgd-linf-eps0.0156863-eot5$"):
-        config_from_dict({"attacks": [{"kind": "mim"},
-                                      {"kind": "pgd", "eot_samples": 5, "seed": 7},
-                                      {"kind": "pgd", "eot_samples": 5}]})
+        config_from_dict({"attacks": [
+            {"kind": "mim", "epsilon": 4 / 255},
+            {"kind": "pgd", "epsilon": 4 / 255, "eot_samples": 5, "seed": 7},
+            {"kind": "pgd", "epsilon": 4 / 255, "eot_samples": 5}]})
 
 
 def test_attack_labels_distinguish_budgets():
@@ -388,10 +408,3 @@ def test_overhead_param_bytes_analytic(tiny_setup):
     assert ov["param_bytes"] == ((16 * 9 + 16) + (16 * 9 + 1)) * 8
     assert ov["bank_param_bytes"] == 2 * ov["param_bytes"]
     assert ov["ratio"] > 1.0
-
-
-def test_overhead_identity_only_is_free(tiny_setup):
-    _, model, _ = tiny_setup
-    ov = measure_overhead(None, model, n_trials=150)
-    assert 0.5 < ov["ratio"] < 1.5
-    assert ov["param_bytes"] == 0

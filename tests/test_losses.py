@@ -241,7 +241,7 @@ def test_total_loss_arithmetic():
 
 
 def test_total_loss_none_components_are_zero():
-    w = LossWeights()
+    w = LossWeights(alpha=1.0)
     b = total_loss(w, 0.7, None, None, None)
     assert b.total == pytest.approx(0.7, rel=1e-12)
     assert b.js == 0.0 and b.lvjp == 0.0 and b.adv == 0.0
