@@ -35,9 +35,10 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory():
     """Keep freed kernel buffers in the process instead of returning them.
 
-    The conv kernels allocate buffers on every call: im2col chunks of
-    0.5-6 MB in a forward conv, a whole im2col matrix of up to 15 MB in a
-    kernel gradient at batch 50. With glibc's defaults each freed buffer of
+    The conv kernels allocate buffers on every call: chunks of 0.6-3 MB in
+    a forward conv (an im2col matrix, or a tap product with its padded
+    input), a whole im2col matrix of up to 15 MB in a kernel gradient at
+    batch 50. With glibc's defaults each freed buffer of
     128 kB or more is unmapped or trimmed off the heap, and the next call
     faults the same pages in again: about 84k minor faults per whitebox
     benchmark unit, a tenth of its time, when forward convs still built

@@ -146,39 +146,91 @@ def _im2col(x, kh, kw, pad, dtype):
     return np.ascontiguousarray(win, dtype=dtype).reshape(n * ho * wo, kh * kw * c)
 
 
-# A forward conv whose im2col matrix passes _COL_BYTES builds and multiplies
-# it in chunks of whole images, so each chunk is read back by its GEMM while
-# still in the core's L2 cache (2 MiB on the 2-core Xeon this was tuned on),
-# and its buffers stay far below glibc's 32 MiB mmap threshold (see
-# drift._keep_freed_memory). At batch 50 the desk's four 16x16 convs ran
-# 1.1-2.3x faster than with the whole matrix, and 1 MiB beat 4 MiB by up to
-# 16%. Every chunk's GEMM does more than _CHUNK_MACS multiply-adds: OpenBLAS
-# switches to a small-matrix kernel, with another summation order, at
-# M*N*K <= 1e6 (a 16->3 conv cut into 8-image chunks differed in the last
-# bit), so above this floor each chunk runs the kernel the unchunked call
-# runs and the output stays bitwise equal.
+def _im2col_conv(x, k2, kh, kw, pad, dt):
+    """[N,C,H,W] -> [N,O,Ho,Wo] view: the im2col matrix times the kernel
+    k2 [kh*kw*C, O], rows (i, j, c)."""
+    n, _, h, w = x.shape
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    y = _im2col(x, kh, kw, pad, dt) @ k2
+    return y.reshape(n, ho, wo, k2.shape[1]).transpose(0, 3, 1, 2)
+
+
+def _taps_conv(x, kt, kh, kw, pad, dt):
+    """[N,C,H,W] -> [N,O,Ho,Wo] view: the conv as one GEMM of the tap-stacked
+    kernel kt [kh*kw*O, C], rows (i, j, o), by the zero-padded input laid out
+    channel-major, [C, N*Hp*Wp]. Row block (i, j) of the product is that tap's
+    contribution at every padded position; shifted left by its flat offset
+    i*Wp + j, each block lines up with the output positions it feeds, so the
+    taps are added into block (0, 0) in (i, j) order, each add one long
+    contiguous slice. Positions whose window runs past a row or an image are
+    summed too and cropped."""
+    n, c, h, w = x.shape
+    o = kt.shape[0] // (kh * kw)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    size = n * hp * wp
+    buf = np.zeros((c, n, hp, wp), dtype=dt)
+    buf[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    prod = kt @ buf.reshape(c, size)
+    m = max(size - (kh - 1) * wp - (kw - 1), 0)  # 0 for an empty batch
+    y = prod[:o, :m]
+    for t in range(1, kh * kw):
+        off = t // kw * wp + t % kw
+        y += prod[t * o:(t + 1) * o, off:off + m]
+    y = prod[:o].reshape(o, n, hp, wp)
+    return y[:, :, :hp - kh + 1, :wp - kw + 1].transpose(1, 0, 2, 3)
+
+
+# A forward conv runs one of two GEMM layouts. The im2col layout multiplies
+# the [N*Ho*Wo, kh*kw*C] window matrix by the [kh*kw*C, O] kernel. With few
+# output channels that GEMM reads a 9x-inflated matrix to write O columns,
+# and OpenBLAS runs it slowly: a 16->3 conv at batch 50 took 3.7 ms, about
+# 3 GFLOP/s against 16-40 for 16->32. A conv with O < C and O <= 4 takes the
+# tap layout (_taps_conv) instead, whose GEMM reads the input once and writes
+# the inflated matrix: the 16->3 conv ran 1.0-1.2x faster at batch 1 and
+# 2.9-4x at batch 16-100 (1 BLAS thread, 16x16 images). The tap layout was
+# 2.2-5.9x slower at 3->16 and 16->32, and up to 1.4x slower at 32->16.
+#
+# Either layout runs in chunks of whole images once the inflated matrix (the
+# im2col matrix, or the tap product) passes _COL_BYTES, so each chunk is read
+# back while still in the core's L2 cache (2 MiB on the 2-core Xeon this was
+# tuned on), and its buffers stay far below glibc's 32 MiB mmap threshold
+# (see drift._keep_freed_memory). At batch 50 the desk's four convs, all on
+# im2col then, ran 1.1-2.3x faster than with the whole matrix, and 1 MiB beat
+# 4 MiB by up to 16%. Every chunk's GEMM does more than _CHUNK_MACS
+# multiply-adds: OpenBLAS switches to a small-matrix kernel, with another
+# summation order, at M*N*K <= 1e6 (a 16->3 conv cut into 8-image chunks
+# differed in the last bit), so above this floor each chunk runs the kernel
+# the unchunked call runs and the output is bitwise independent of the
+# chunking.
 _COL_BYTES = 1 << 20
 _CHUNK_MACS = 1 << 20
 
 
 def _k_conv2d(vals, ctx):
     """Conv forward, [x, k] or [x, k, bias]; the bias is added to the conv's
-    output, as a separate add of its broadcast would."""
+    output, as a separate add of its broadcast would. Few output channels take
+    the tap layout, the rest im2col (see above). The im2col layout sums each
+    output's kh*kw*C products in one GEMM dot; the tap layout sums C per tap
+    in its GEMM, then adds the taps, which differs by about 1e-15 relative."""
     x, k, *bias = vals
     n, c, h, w = x.shape
     o, _, kh, kw = k.shape
     ho, wo = h + 2 * ctx - kh + 1, w + 2 * ctx - kw + 1
     dt = np.result_type(x, k)
-    k2 = np.ascontiguousarray(k.transpose(2, 3, 1, 0), dtype=dt).reshape(kh * kw * c, o)
     out = np.empty((n, o, ho, wo), dtype=np.result_type(dt, *bias))
-    per_image = ho * wo * kh * kw * c
-    step = max(_COL_BYTES // (per_image * dt.itemsize), _CHUNK_MACS // (per_image * o) + 1)
+    if o < c and o <= 4:
+        conv, kmat, inner = _taps_conv, k.transpose(2, 3, 0, 1), c
+        per_image = (h + 2 * ctx) * (w + 2 * ctx) * kh * kw * o
+    else:
+        conv, kmat, inner = _im2col_conv, k.transpose(2, 3, 1, 0), o
+        per_image = ho * wo * kh * kw * c
+    kmat = np.ascontiguousarray(kmat, dtype=dt).reshape(-1, inner)
+    step = max(_COL_BYTES // (per_image * dt.itemsize), _CHUNK_MACS // (per_image * inner) + 1)
     # a short last chunk is folded into the one before
     bounds = list(range(step, n - step + 1, step)) + [n]
     start = 0
     for stop in bounds:
-        y = _im2col(x[start:stop], kh, kw, ctx, dt) @ k2
-        out[start:stop] = y.reshape(stop - start, ho, wo, o).transpose(0, 3, 1, 2)
+        out[start:stop] = conv(x[start:stop], kmat, kh, kw, ctx, dt)
         start = stop
     if bias:
         out += bias[0][:, None, None]

@@ -257,8 +257,9 @@ def _slab_pad_nhwc(x, pad):
 
 
 def _slab_conv2d(vals, pad):
-    """Reference: the im2col-by-slabs forward kernel the window view replaced."""
-    x, k = vals
+    """Reference: the im2col-by-slabs forward kernel the window view replaced,
+    [x, k] or [x, k, bias]."""
+    x, k, *bias = vals
     o, c, kh, kw = k.shape
     xn = _slab_pad_nhwc(x, pad)
     n, hp, wp, _ = xn.shape
@@ -270,7 +271,8 @@ def _slab_conv2d(vals, pad):
             col[:, :, :, i, j, :] = xn[:, i:i + ho, j:j + wo, :]
     k2 = np.ascontiguousarray(k.transpose(2, 3, 1, 0), dtype=dt)
     out = col.reshape(n * ho * wo, kh * kw * c) @ k2.reshape(kh * kw * c, o)
-    return np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+    out = np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+    return out + bias[0][:, None, None] if bias else out
 
 
 def _slab_conv2d_kgrad(vals, pad):
@@ -291,11 +293,35 @@ def _slab_conv2d_kgrad(vals, pad):
     return np.ascontiguousarray(dk.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
 
 
+def _takes_taps(c, o):
+    """The shapes _k_conv2d sends to its tap layout: few output channels."""
+    return o < c and o <= 4
+
+
+# The tap layout sums each tap's C products in its GEMM and then adds the taps,
+# the slab reference sums all kh*kw*C in one dot. Over kernel sizes 1-5, pads
+# 0-2 and 1-50 images they differed by at most 1.2e-15 of the largest output
+# in float64 and 6e-7 in float32; the bounds are about 80x and 16x those.
+_TAPS_RTOL = {np.dtype(np.float64): 1e-13, np.dtype(np.float32): 1e-5}
+
+
+def _assert_matches_slab(y, ref, c, o):
+    """Bitwise equal on the im2col layout, within _TAPS_RTOL of the largest
+    |ref| on the tap layout."""
+    assert y.flags.c_contiguous and (y.shape, y.dtype) == (ref.shape, ref.dtype)
+    if _takes_taps(c, o):
+        assert np.abs(y - ref).max() <= _TAPS_RTOL[ref.dtype] * np.abs(ref).max()
+    else:
+        assert np.array_equal(y, ref)
+
+
 @pytest.mark.parametrize("ksize, pad", [(k, p) for k in (1, 3, 5) for p in (0, 1, 2)])
 def test_conv_kernels_bitwise_equal_slab_reference(ksize, pad):
     # H != W throughout; the transposed view checks strides other than C order,
     # and C = 1 with pad = 0 is where the NHWC input can be a view of x itself,
-    # so the input must also come back unchanged.
+    # so the input must also come back unchanged. Forward convs with few
+    # output channels (3 -> 1, 16 -> 1, 16 -> 3) take the tap layout and are
+    # held to its bound instead.
     rng = np.random.default_rng(ksize * 10 + pad)
     for n in (1, 3):
         for c in (1, 3, 16):
@@ -304,10 +330,8 @@ def test_conv_kernels_bitwise_equal_slab_reference(ksize, pad):
                 x_t = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
                 k = rng.standard_normal((o, c, ksize, ksize))
                 for xin in (x, x_t):
-                    ref = _slab_conv2d([xin, k], pad)
                     y = _FORWARD["conv2d"]([xin, k], pad)
-                    assert y.flags.c_contiguous and y.dtype == ref.dtype
-                    assert np.array_equal(y, ref), (n, c, o)
+                    _assert_matches_slab(y, _slab_conv2d([xin, k], pad), c, o)
                     gy = rng.standard_normal(y.shape)
                     ref = _slab_conv2d_kgrad([xin, gy], pad)
                     dk = _FORWARD["conv2d_kgrad"]([xin, gy], pad)
@@ -332,17 +356,85 @@ def test_conv_kernels_bitwise_equal_slab_reference_mixed_dtype():
 @pytest.mark.parametrize("n", [9, 10, 11, 50, 200])
 def test_conv_forward_in_chunks_bitwise_equal_slab_reference(monkeypatch, n, c, o,
                                                               col_bytes):
-    # the desk's 16x16 convs at batch sizes that cut the im2col matrix into
+    # the desk's 16x16 convs at batch sizes that cut the inflated matrix into
     # chunks, folding a short last one; a 1-byte budget leaves each chunk as
-    # few images as the multiply-add floor allows
+    # few images as the multiply-add floor allows. 16 -> 3 takes the tap
+    # layout and is held to its bound.
     if col_bytes != "default":
         monkeypatch.setattr(tape_module, "_COL_BYTES", col_bytes)
     rng = np.random.default_rng(n * 100 + c + o)
     x = rng.standard_normal((n, c, 16, 16))
     k = rng.standard_normal((o, c, 3, 3))
-    y = _FORWARD["conv2d"]([x, k], 1)
-    assert y.flags.c_contiguous
-    assert np.array_equal(y, _slab_conv2d([x, k], 1))
+    _assert_matches_slab(_FORWARD["conv2d"]([x, k], 1), _slab_conv2d([x, k], 1), c, o)
+
+
+def _record_layouts(mp, ran):
+    """Make _k_conv2d append to ran the layout each of its chunks runs."""
+    for name, layout in (("_im2col_conv", "im2col"), ("_taps_conv", "taps")):
+        def run(*args, _kernel=getattr(tape_module, name), _layout=layout):
+            ran.append(_layout)
+            return _kernel(*args)
+        mp.setattr(tape_module, name, run)
+
+
+def _forward_and_layouts(vals, pad):
+    """_k_conv2d's output and the layout each of its chunks ran, in order."""
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_layouts(mp, ran)
+        y = _FORWARD["conv2d"](vals, pad)
+    return y, ran
+
+
+@pytest.mark.parametrize("c, o, layout", [
+    (3, 16, "im2col"), (16, 3, "taps"), (16, 32, "im2col"), (32, 16, "im2col"),
+    (3, 1, "taps"), (16, 4, "taps"), (16, 5, "im2col"), (3, 3, "im2col"),
+])
+def test_conv_layout_routing_table(c, o, layout):
+    # the desk's four 3x3 shapes (forward and data-gradient convs of the bank
+    # and the base) pinned to the layout that timed fastest at batch 1-100,
+    # and the edges of the few-output rule
+    rng = np.random.default_rng(c * 100 + o)
+    x, k = rng.standard_normal((1, c, 16, 16)), rng.standard_normal((o, c, 3, 3))
+    _, ran = _forward_and_layouts([x, k], 1)
+    assert ran == [layout]
+    assert _takes_taps(c, o) == (layout == "taps")
+
+
+@pytest.mark.parametrize("c, o", [(3, 16), (16, 3)])
+def test_conv_of_an_empty_batch_is_empty(c, o):
+    y = _FORWARD["conv2d"]([np.zeros((0, c, 16, 16)), np.ones((o, c, 3, 3)), np.ones(o)], 1)
+    assert y.shape == (0, o, 16, 16) and y.dtype == np.float64
+
+
+@pytest.mark.parametrize("xdt, kdt", [(np.float32, np.float32), (np.float32, np.float64),
+                                      (np.float64, np.float32)])
+def test_conv_taps_match_slab_reference_in_float32_and_mixed(xdt, kdt):
+    rng = np.random.default_rng(7)
+    for n in (1, 50):
+        x = rng.standard_normal((n, 16, 16, 16)).astype(xdt)
+        k = rng.standard_normal((3, 16, 3, 3)).astype(kdt)
+        y = _FORWARD["conv2d"]([x, k], 1)
+        assert y.dtype == np.result_type(xdt, kdt)
+        _assert_matches_slab(y, _slab_conv2d([x, k], 1), 16, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 50, 200])
+def test_conv_taps_bitwise_independent_of_the_chunk_budget(monkeypatch, n, dtype):
+    # the desk's 16 -> 3 conv: within the bound of the slab reference, and
+    # the same bytes whether its images run in the default chunks or as few
+    # per chunk as the multiply-add floor allows (8, a short last chunk folded)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 16, 16, 16)).astype(dtype)
+    k, b = rng.standard_normal((3, 16, 3, 3)).astype(dtype), rng.standard_normal(3).astype(dtype)
+    y, ran = _forward_and_layouts([x, k, b], 1)
+    _assert_matches_slab(y, _slab_conv2d([x, k, b], 1), 16, 3)
+    monkeypatch.setattr(tape_module, "_COL_BYTES", 1)
+    y_small, ran_small = _forward_and_layouts([x, k, b], 1)
+    assert set(ran) == set(ran_small) == {"taps"}
+    assert len(ran_small) == max(1, n // 8)
+    assert y_small.tobytes() == y.tobytes()
 
 
 def test_biased_conv_records_one_node_and_sums_its_bias_gradient():
@@ -376,36 +468,72 @@ def _old_conv2d(x, kernel, bias, padding):
     return add(y, _bcast(bias, y.value.shape, (0, 2, 3)))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_biased_conv_is_byte_equal_to_the_graph_it_replaced(monkeypatch, dtype):
+def _res_block_inputs(dtype):
+    """x [12, 3, 8, 8], the res_block's (w1, b1, w2, b2) and a cotangent."""
     r = np.random.default_rng(13)
     x = r.uniform(0, 1, (12, 3, 8, 8)).astype(dtype)
     params = [(0.3 * r.standard_normal(shape)).astype(dtype)
               for shape in ((16, 3, 3, 3), (16,), (3, 16, 3, 3), (3,))]
-    u = r.standard_normal(x.shape).astype(dtype)
+    return x, params, r.standard_normal(x.shape).astype(dtype)
 
-    def run(conv):
-        # a res_block and its vjp into the input and every parameter, then
-        # the gradient of a loss on all of them: second order through every
-        # conv, both biases and the kernel and bias gradients
-        t = Tape()
-        xv = t.leaf(x)
-        ps = [t.leaf(p) for p in params]
-        w1, b1, w2, b2 = ps
-        y = add(xv, conv(relu(conv(xv, w1, b1, 1)), w2, b2, 1))
-        firsts = vjp(t, y, u, [xv] + ps)
-        loss = reduce(add, [sum_all(mul(v, v)) for v in [y] + firsts])
-        return t, [v.value for v in [y, loss] + firsts + grad(t, loss, ps)]
 
-    t_new, new = run(conv2d)
-    # the old graph, with the old kernel and rule: unchunked and two parents
-    monkeypatch.setitem(_FORWARD, "conv2d", _slab_conv2d)
+def _res_block_second_order(conv, x, params, u):
+    """A res_block and its vjp into the input and every parameter, then the
+    gradient of a loss on all of them: second order through every conv, both
+    biases and the kernel and bias gradients. Returns the tape and the values
+    of the output, the loss, the first-order vjps and the loss's gradient."""
+    t = Tape()
+    xv = t.leaf(x)
+    ps = [t.leaf(p) for p in params]
+    w1, b1, w2, b2 = ps
+    y = add(xv, conv(relu(conv(xv, w1, b1, 1)), w2, b2, 1))
+    firsts = vjp(t, y, u, [xv] + ps)
+    loss = reduce(add, [sum_all(mul(v, v)) for v in [y] + firsts])
+    return t, [v.value for v in [y, loss] + firsts + grad(t, loss, ps)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_biased_conv_is_byte_equal_to_the_graph_it_replaced(monkeypatch, dtype):
+    x, params, u = _res_block_inputs(dtype)
+    t_new, new = _res_block_second_order(conv2d, x, params, u)
+    # the old graph and rule (two parents) through the current kernel
     monkeypatch.setitem(_BACKWARD, "conv2d", _old_bwd_conv2d)
-    t_old, old = run(_old_conv2d)
+    t_old, old = _res_block_second_order(_old_conv2d, x, params, u)
     assert len(t_old) - len(t_new) == 2 * 2  # bcast and add per biased conv
     for a, b in zip(new, old):
         assert (a.shape, a.dtype) == (b.shape, b.dtype)
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_second_order_through_the_tap_layout_matches_im2col(monkeypatch, dtype):
+    # the res_block's 16 -> 3 conv and the data gradient of its 3 -> 16 conv
+    # take the tap layout; run again with every conv on the slab (im2col)
+    # reference, each value matches within _TAPS_RTOL of its largest entry
+    # (the largest differences seen were 3e-16 and 2e-7 relative)
+    x, params, u = _res_block_inputs(dtype)
+    ran = []
+    _record_layouts(monkeypatch, ran)
+    _, new = _res_block_second_order(conv2d, x, params, u)
+    assert "taps" in ran
+    monkeypatch.setitem(_FORWARD, "conv2d", _slab_conv2d)
+    _, ref = _res_block_second_order(conv2d, x, params, u)
+    for a, b in zip(new, ref):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert np.abs(a - b).max() <= _TAPS_RTOL[b.dtype] * np.abs(b).max()
+
+
+@pytest.mark.parametrize("c, o", [(16, 3), (3, 16)])
+def test_few_output_conv_input_gradient_fd(c, o):
+    # 16 -> 3 runs its forward on the tap layout, 3 -> 16 its input gradient
+    r = np.random.default_rng(c * 10 + o)
+    k, b = r.standard_normal((o, c, 3, 3)) * 0.3, r.standard_normal(o)
+
+    def loss(t, xv):
+        y = conv2d(xv, t.leaf(k), t.leaf(b), padding=1)
+        return sum_all(mul(y, y))
+
+    check_grad(loss, r.standard_normal((2, c, 6, 5)), r)
 
 
 # -- softmax cross-entropy ---------------------------------------------------
