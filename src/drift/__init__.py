@@ -16,13 +16,13 @@ import ctypes
 import os
 
 from .errors import (
-    BudgetError, DivergenceError, DomainError, NonFiniteLoss, ShapeError,
-    StageError, TapeError,
+    BudgetError, DivergenceError, DomainError, ShapeError, StageError,
+    TapeError,
 )
 
 __all__ = [
-    "BudgetError", "DivergenceError", "DomainError", "NonFiniteLoss",
-    "ShapeError", "StageError", "TapeError",
+    "BudgetError", "DivergenceError", "DomainError", "ShapeError",
+    "StageError", "TapeError",
 ]
 
 __version__ = "0.1.0"

@@ -74,8 +74,8 @@ class AttackSpec:
 
 @dataclass
 class GradientOracle:
-    """Callable (x, y, step) -> (per-sample loss [N], grad [N,...])."""
-    kind: str
+    """Callable (x, y, step) -> (per-sample loss [N], grad [N,...]); every
+    attack's gradient query goes through this one `__call__`."""
     fn: object
 
     def __call__(self, x, y, step):
@@ -117,7 +117,7 @@ def base_oracle(model):
     """Threat model: attacker differentiates the undefended base model."""
     def fn(x, y, step):
         return _pipeline_loss_grad(model, None, x, y)
-    return GradientOracle("base", fn)
+    return GradientOracle(fn)
 
 
 def filter_oracle(bank, model, index):
@@ -128,7 +128,7 @@ def filter_oracle(bank, model, index):
 
     def fn(x, y, step):
         return _pipeline_loss_grad(model, filt, x, y)
-    return GradientOracle(f"filter[{index}]", fn)
+    return GradientOracle(fn)
 
 
 def draw_counts(k, keys):
@@ -181,8 +181,7 @@ def eot_oracle(bank, model, eot_samples, seed=0, sample_ids=None, bpda=False):
         ids = np.arange(x.shape[0]) if sample_ids is None else sample_ids
         counts = eot_draw_counts(bank.k, eot_samples, seed, ids, step)
         return _eot_loss_grad(bank, model, x, y, counts, eot_samples, bpda)
-    name = f"eot{eot_samples}" + ("+bpda" if bpda else "")
-    return GradientOracle(name, fn)
+    return GradientOracle(fn)
 
 
 # ---------------------------------------------------------------------------

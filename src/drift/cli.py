@@ -19,14 +19,14 @@ import numpy as np
 from .attacks import AttackSpec
 from .data import generate_synthetic_dataset
 from .dtns import checkpoint_meta, load_checkpoint
-from .errors import DivergenceError, DomainError, NonFiniteLoss, StageError
+from .errors import DivergenceError, DomainError, StageError
 from .harness import (
     DIAGNOSTIC_FILES, attack_label, evaluate_robust_accuracy, load_config,
     run_diagnostic, run_experiment,
 )
 
-_USER_ERRORS = (DomainError, StageError, DivergenceError, NonFiniteLoss,
-                OSError, json.JSONDecodeError)
+_USER_ERRORS = (DomainError, StageError, DivergenceError, OSError,
+                json.JSONDecodeError)
 
 
 def _load_for_eval(ckpt_path):

@@ -22,8 +22,12 @@ VERSION = 2
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8"), 0x88: np.dtype("<i8")}
 _CODES_BY_VERSION = {1: (4, 8), 2: (4, 8, 0x88)}
 _CKPT_VERSION = 1
-_RES_BLOCK = 1     # __meta__[1], the filter family's code
-_META_LEN = 15
+_RES_BLOCK = 1     # the "arch" slot's code for the filter family
+# The checkpoint's int64 __meta__ record, slot by slot in on-disk order.
+_META_SLOTS = ("version", "arch", "hidden", "k_filters", "bank_seed",
+               "image_c", "image_h", "image_w", "classes", "channels_0",
+               "channels_1", "model_seed", "frozen", "data_seed",
+               "n_per_class")
 
 
 def _precision_of(arr):
@@ -110,22 +114,15 @@ def read_tensors(path):
 
 def save_checkpoint(path, bank, model, data_seed=0, n_per_class=0):
     arch = bank.filters[0].arch
-    meta = [
-        _CKPT_VERSION,
-        _RES_BLOCK,
-        arch.hidden,
-        bank.k,
-        bank.seed,
-        model.image_shape[0], model.image_shape[1], model.image_shape[2],
-        model.k_classes,
-        model.channels[0], model.channels[1],
-        model.seed,
-        int(model.frozen),
-        data_seed,
-        n_per_class,
-    ]
+    meta = dict(
+        version=_CKPT_VERSION, arch=_RES_BLOCK, hidden=arch.hidden,
+        k_filters=bank.k, bank_seed=bank.seed, image_c=model.image_shape[0],
+        image_h=model.image_shape[1], image_w=model.image_shape[2],
+        classes=model.k_classes, channels_0=model.channels[0],
+        channels_1=model.channels[1], model_seed=model.seed,
+        frozen=int(model.frozen), data_seed=data_seed, n_per_class=n_per_class)
     try:
-        meta = np.array(meta, dtype=np.int64)
+        meta = np.array([meta[k] for k in _META_SLOTS], dtype=np.int64)
     except OverflowError as exc:
         raise DomainError(f"checkpoint metadata outside int64: {exc}") from exc
     tensors = {"__meta__": meta}
@@ -140,25 +137,25 @@ def save_checkpoint(path, bank, model, data_seed=0, n_per_class=0):
 
 
 def _meta(tensors):
-    """The checkpoint's __meta__ record, checked for its length."""
+    """The __meta__ record as {slot name: int}, checked for its length."""
     if "__meta__" not in tensors:
         raise DomainError("checkpoint is missing its metadata record")
     meta = tensors["__meta__"]
-    if meta.ndim != 1 or len(meta) < _META_LEN:
+    if meta.ndim != 1 or len(meta) < len(_META_SLOTS):
         raise DomainError(f"checkpoint metadata has shape {meta.shape}; "
-                          f"it needs {_META_LEN} entries")
-    return meta
+                          f"it needs {len(_META_SLOTS)} entries")
+    return {k: int(v) for k, v in zip(_META_SLOTS, meta)}
 
 
 def checkpoint_meta(path):
     """Dataset regeneration hints stored alongside the tensors."""
     meta = _meta(read_tensors(path))
     return {
-        "classes": int(meta[8]),
-        "side": int(meta[6]),
-        "channels": int(meta[5]),
-        "data_seed": int(meta[13]),
-        "n_per_class": int(meta[14]),
+        "classes": meta["classes"],
+        "side": meta["image_h"],
+        "channels": meta["image_c"],
+        "data_seed": meta["data_seed"],
+        "n_per_class": meta["n_per_class"],
     }
 
 
@@ -166,14 +163,14 @@ def load_checkpoint(path):
     """Returns (bank, model) rebuilt from a checkpoint file."""
     tensors = read_tensors(path)
     meta = _meta(tensors)
-    if int(meta[0]) != _CKPT_VERSION:
-        raise DomainError(f"unsupported checkpoint version {int(meta[0])}")
-    if int(meta[1]) != _RES_BLOCK:
-        raise DomainError(f"unknown filter arch code {int(meta[1])}; "
+    if meta["version"] != _CKPT_VERSION:
+        raise DomainError(f"unsupported checkpoint version {meta['version']}")
+    if meta["arch"] != _RES_BLOCK:
+        raise DomainError(f"unknown filter arch code {meta['arch']}; "
                           f"res_block is {_RES_BLOCK}")
-    arch = FilterArch(hidden=int(meta[2]))
-    k_filters = int(meta[3])
-    image_shape = (int(meta[5]), int(meta[6]), int(meta[7]))
+    arch = FilterArch(hidden=meta["hidden"])
+    k_filters = meta["k_filters"]
+    image_shape = (meta["image_c"], meta["image_h"], meta["image_w"])
 
     base_params = {}
     filt_params = [dict() for _ in range(k_filters)]
@@ -193,11 +190,11 @@ def load_checkpoint(path):
     if any(not p for p in filt_params):
         raise DomainError("checkpoint is missing filter parameters")
 
-    model = BaseClassifier(image_shape, int(meta[8]), base_params,
-                           seed=int(meta[11]),
-                           channels=(int(meta[9]), int(meta[10])))
-    if meta[12] == 1:
+    model = BaseClassifier(image_shape, meta["classes"], base_params,
+                           seed=meta["model_seed"],
+                           channels=(meta["channels_0"], meta["channels_1"]))
+    if meta["frozen"] == 1:
         model.freeze()
     bank = FilterBank([Filter(arch, p) for p in filt_params],
-                      seed=int(meta[4]))
+                      seed=meta["bank_seed"])
     return bank, model

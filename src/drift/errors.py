@@ -17,12 +17,8 @@ class BudgetError(ValueError):
     """A perturbation violates its declared norm budget."""
 
 
-class NonFiniteLoss(ArithmeticError):
-    """A loss component came out NaN or infinite."""
-
-
 class DivergenceError(RuntimeError):
-    """Training produced non-finite totals for an entire epoch."""
+    """Every batch of a training epoch had a non-finite loss term."""
 
 
 class StageError(RuntimeError):

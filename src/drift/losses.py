@@ -1,4 +1,4 @@
-"""The four training loss components and their weighted total.
+"""The four training loss components; `train_drift` weights and sums them.
 
 Cross-entropy keeps the filtered pipelines accurate. The two separation
 terms push squared cosines between probed VJPs toward zero: js_component
@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteLoss
+from .errors import DomainError
 from .models import base_apply, bind_params, filter_apply
 from .rng import rng_from
 from .tape import (
@@ -59,15 +59,6 @@ class ProbeConfig:
     def __post_init__(self):
         if self.p_v < 1 or self.p_w < 1:
             raise DomainError("probe counts must be at least 1")
-
-
-@dataclass
-class LossBreakdown:
-    ce: float
-    js: float
-    lvjp: float
-    adv: float
-    total: float
 
 
 NORM_GUARD = 1e-10    # below this, a VJP carries no usable direction
@@ -218,17 +209,3 @@ def adv_component(tape, model, xadv_var, y, bank_pvars):
     logits = _logits(tape, model, xadv_var, bank_pvars)
     return mean_all(reduce(maximum, [cross_entropy_rows(z, y) for z in logits]))
 
-
-def total_loss(weights, ce, js=None, lvjp=None, adv=None):
-    """Weighted sum; None components (skipped/warmup-inactive) count as 0."""
-    parts = {"ce": ce, "js": js, "lvjp": lvjp, "adv": adv}
-    for name, v in parts.items():
-        if v is not None and not np.isfinite(v):
-            raise NonFiniteLoss(f"{name} component is non-finite: {v}")
-    ce_v = float(ce)
-    js_v = float(js) if js is not None else 0.0
-    lv_v = float(lvjp) if lvjp is not None else 0.0
-    ad_v = float(adv) if adv is not None else 0.0
-    total = (weights.alpha * ce_v + weights.beta_js * js_v
-             + weights.beta_lvjp * lv_v + weights.lambda_adv * ad_v)
-    return LossBreakdown(ce_v, js_v, lv_v, ad_v, total)

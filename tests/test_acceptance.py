@@ -171,7 +171,7 @@ def _linear_oracle(c):
     def fn(x, y, step):
         loss = (x * c).reshape(x.shape[0], -1).sum(axis=1)
         return loss, np.broadcast_to(c, x.shape).copy()
-    return GradientOracle("linear", fn)
+    return GradientOracle(fn)
 
 
 def test_criterion_2_first_order_transfer_oracle():

@@ -29,7 +29,7 @@ def linear_oracle(c):
     def fn(x, y, step):
         loss = (x * c).reshape(x.shape[0], -1).sum(axis=1)
         return loss, np.broadcast_to(c, x.shape).copy()
-    return GradientOracle("linear", fn)
+    return GradientOracle(fn)
 
 
 # -- spec validation ----------------------------------------------------------
@@ -92,7 +92,7 @@ def test_pgd_nonfinite_gradient_sanitized():
         return np.zeros(x.shape[0]), g
     spec = AttackSpec(epsilon=0.1, steps=2)
     x0 = np.full((2, 1, 2, 2), 0.5)
-    _, delta = pgd(GradientOracle("nan", fn), x0, np.zeros(2, dtype=int), spec)
+    _, delta = pgd(GradientOracle(fn), x0, np.zeros(2, dtype=int), spec)
     assert np.all(delta == 0.0)
 
 
@@ -201,7 +201,7 @@ def test_mim_oscillating_gradients_match_hand_simulation():
     spec = AttackSpec(kind="mim", epsilon=0.1, steps=4, step_size=0.02,
                       momentum_decay=1.0)
     x0 = np.full((1, 1, 1, 2), 0.5)
-    _, d_mim = mim(GradientOracle("s", fn), x0, np.array([0]), spec)
+    _, d_mim = mim(GradientOracle(fn), x0, np.array([0]), spec)
 
     m = np.zeros((1, 1, 2))
     delta = np.zeros((1, 1, 2))
@@ -213,7 +213,7 @@ def test_mim_oscillating_gradients_match_hand_simulation():
     np.testing.assert_allclose(d_mim[0], delta, atol=1e-15)
 
     spec_p = AttackSpec(epsilon=0.1, steps=4, step_size=0.02)
-    _, d_pgd = pgd(GradientOracle("s", fn), x0, np.array([0]), spec_p)
+    _, d_pgd = pgd(GradientOracle(fn), x0, np.array([0]), spec_p)
     assert not np.allclose(d_mim, d_pgd)
 
 

@@ -9,11 +9,9 @@ from conftest import (
     affine_res_filter, cos_sq, identity_filter, linear_base_model, micro_bank,
     negation_filter, projection_filter,
 )
-from drift import NonFiniteLoss
 from drift.losses import (
-    LossBreakdown, LossWeights, _base_vjps, adv_component, bind_bank,
-    ce_component, cos_sq_rows, draw_input_probes, draw_logit_probes,
-    js_component, lvjp_component, total_loss,
+    _base_vjps, adv_component, bind_bank, ce_component, cos_sq_rows,
+    draw_input_probes, draw_logit_probes, js_component, lvjp_component,
 )
 from drift.models import (
     FilterBank, base_apply, bind_params, build_base_model, build_filter_bank,
@@ -229,43 +227,6 @@ def test_loss_adv_max_dominance(small_setup):
     for i in range(bank.k):
         single = FilterBank([bank.filters[i]])
         assert val >= value(adv_component, single, (model,), xadv, y) - 1e-12
-
-
-# -- total_loss ---------------------------------------------------------------
-
-def test_total_loss_arithmetic():
-    w = LossWeights(1.0, 0.5, 0.5, 1.0)
-    b = total_loss(w, 1.0, 0.2, 0.4, 0.6)
-    assert b.total == pytest.approx(1.9, rel=1e-12)
-    assert isinstance(b, LossBreakdown)
-
-
-def test_total_loss_none_components_are_zero():
-    w = LossWeights(alpha=1.0)
-    b = total_loss(w, 0.7, None, None, None)
-    assert b.total == pytest.approx(0.7, rel=1e-12)
-    assert b.js == 0.0 and b.lvjp == 0.0 and b.adv == 0.0
-
-
-def test_total_loss_zero_weights():
-    w = LossWeights(0.0, 0.0, 0.0, 0.0)
-    assert total_loss(w, 5.0, 1.0, 1.0, 1.0).total == 0.0
-
-
-def test_total_loss_nonfinite_raises():
-    with pytest.raises(NonFiniteLoss):
-        total_loss(LossWeights(), float("nan"), 0.1, 0.1, 0.1)
-    with pytest.raises(NonFiniteLoss):
-        total_loss(LossWeights(), 1.0, float("inf"), 0.1, 0.1)
-
-
-def test_breakdown_invariant_random():
-    for _ in range(20):
-        w = LossWeights(*RNG.uniform(0, 2, 4))
-        ce, js, lv, ad = RNG.uniform(0, 3, 4)
-        b = total_loss(w, ce, js, lv, ad)
-        want = w.alpha * ce + w.beta_js * js + w.beta_lvjp * lv + w.lambda_adv * ad
-        assert b.total == pytest.approx(want, rel=1e-12)
 
 
 # -- parameter gradient flow --------------------------------------------------

@@ -11,8 +11,10 @@ from drift.losses import LossWeights, ProbeConfig
 from drift.models import (
     build_base_model, build_filter_bank, pretrain_and_freeze,
 )
+from drift import training
+from drift.rng import rng_from
 from drift.training import (
-    OptimizerState, TrainConfig, clip_gradients, global_grad_norm,
+    EPOCH_TAG, OptimizerState, TrainConfig, clip_gradients, global_grad_norm,
     optimizer_step, read_training_log, sanitize_gradients, train_drift,
     write_training_log,
 )
@@ -194,6 +196,67 @@ def test_first_epoch_ce_matches_frozen_model_ce(micro_setup):
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     ce = float(np.mean(lse - z[np.arange(len(data[1])), data[1]]))
     np.testing.assert_allclose(log[0]["ce"], ce, rtol=1e-12)
+
+
+@pytest.mark.parametrize("weights", [
+    LossWeights(),
+    LossWeights(0.0, 0.0, 0.0, 0.0),
+    LossWeights(*np.random.default_rng(21).uniform(0.0, 2.0, 4)),
+], ids=["desk", "zero", "random"])
+def test_logged_total_is_the_weighted_sum_of_the_logged_terms(micro_setup,
+                                                              weights):
+    # One batch per epoch, so each logged mean is the batch's own value; adv
+    # is inactive in epoch 1 and counts as 0.0 there.
+    model, data = micro_setup
+    bank = build_filter_bank("res_block", 2, seed=1)
+    cfg = micro_config(epochs=2, batch_size=len(data[1]), w_adv=1,
+                       weights=weights)
+    _, log = train_drift(model, bank, data, cfg)
+    w = weights
+    for row in log:
+        want = (w.alpha * row["ce"] + w.beta_js * row["js"]
+                + w.beta_lvjp * row["lvjp"] + w.lambda_adv * row["adv"])
+        assert row["total"] == want
+        assert row["ce"] > 0.0
+    assert log[0]["adv"] == 0.0
+    for name, wt in (("js", w.beta_js), ("lvjp", w.beta_lvjp),
+                     ("adv", w.lambda_adv)):
+        assert (log[1][name] > 0.0) == (wt > 0.0)
+
+
+def test_nonfinite_term_skips_the_batch_at_once(micro_setup, monkeypatch):
+    # Batch 0 holds a NaN sample, so its ce is NaN: no later term is built
+    # for it, no update is applied, and the epoch means are batch 1's alone.
+    model, (x, y) = micro_setup
+    cfg = micro_config(epochs=1)
+    first = rng_from(cfg.seed, EPOCH_TAG, 1).permutation(len(y))[0]
+    x = x.copy()
+    x[first, 0, 0, 0] = np.nan
+    calls = {}
+
+    def record(name, value_of=lambda out: None):
+        fn = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.setdefault(name, []).append(value_of(out))
+            return out
+        monkeypatch.setattr(training, name, wrapper)
+
+    for name in ("ce_component", "js_component", "lvjp_component",
+                 "adv_component"):
+        record(name, lambda out: float(out.value))
+    record("pgd")
+    record("optimizer_step")
+    bank = build_filter_bank("res_block", 2, seed=1)
+    _, log = train_drift(model, bank, (x, y), cfg)
+
+    assert {k: len(v) for k, v in calls.items()} == {
+        "ce_component": 2, "js_component": 1, "lvjp_component": 1,
+        "adv_component": 1, "pgd": 1, "optimizer_step": 1}
+    assert np.isnan(calls["ce_component"][0])
+    for name in ("ce", "js", "lvjp", "adv"):
+        assert log[0][name] == calls[f"{name}_component"][-1]
 
 
 def test_training_is_deterministic(micro_setup):
