@@ -61,16 +61,6 @@ class ConsensusReport:
         mask = ~np.eye(k, dtype=bool)
         return float(self.gamma[mask].mean())
 
-    def to_dict(self):
-        return {
-            "gamma": self.gamma.tolist(),
-            "n_samples": self.n_samples,
-            "mode": self.mode,
-            "probes": self.probes,
-            "probe_seed": self.probe_seed,
-            "n_zero_grad": self.n_zero_grad,
-        }
-
 
 def consensus(bank, model, dataset, mode="exact", probes=40, seed=0):
     """Mean pairwise squared-cosine alignment across filter pipelines.
@@ -151,16 +141,6 @@ class MismatchStats:
     n_samples: int
     n_dirs: int
     eot_k: int
-
-    def to_dict(self):
-        return {
-            "etas": list(self.etas),
-            "per_eta": {repr(e): self.per_eta[e] for e in self.etas},
-            "grad_norms": self.grad_norms,
-            "n_samples": self.n_samples,
-            "n_dirs": self.n_dirs,
-            "eot_k": self.eot_k,
-        }
 
 
 def orthonormal_directions(n_dirs, shape, seed):

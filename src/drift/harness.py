@@ -91,9 +91,6 @@ class ExperimentConfig:
     inference_seed: int = 0
     out_dir: str = "runs/default"
 
-    def to_dict(self):
-        return asdict(self)
-
 
 # The desk's attack suite: each names its kind and the fields that differ
 # from AttackSpec's defaults.
@@ -193,16 +190,9 @@ class MetricsRecord:
                 raise DomainError(f"accuracy {label}={v} outside [0, 100]")
 
     def to_dict(self, include_timings=True):
-        d = {
-            "experiment_id": self.experiment_id,
-            "seed": self.seed,
-            "clean_accuracy": self.clean_accuracy,
-            "robust_accuracy": dict(self.robust_accuracy),
-            "consensus_mean_offdiag": self.consensus_mean_offdiag,
-        }
-        if include_timings:
-            d["timings"] = dict(self.timings)
-            d["page_faults"] = dict(self.page_faults)
+        d = asdict(self)
+        if not include_timings:
+            del d["timings"], d["page_faults"]
         return d
 
 
@@ -346,9 +336,20 @@ def measure_overhead(bank, model, n_trials=200):
 # Pipeline
 # ---------------------------------------------------------------------------
 
+def _json_default(obj):
+    """asdict of a dataclass, tolist of an ndarray or a NumPy scalar."""
+    if is_dataclass(obj):
+        return asdict(obj)
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+    """The one JSON writer of run records. The text is encoded whole before
+    the file opens, so an object it cannot encode leaves no file."""
+    text = json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
+    Path(path).write_text(text)
 
 
 # diagnostic -> the file it writes; `drift diagnose --what` runs any of them
@@ -366,14 +367,11 @@ def run_diagnostic(what, bank, model, eval_split, out, seed=0):
     path = out / DIAGNOSTIC_FILES[what]
     if what == "consensus":
         result = consensus(bank, model, eval_split, mode="exact")
-        _write_json(result.to_dict(), path)
     elif what == "gradnorm":
         result = gradient_norm_stats(bank, model, eval_split, eot_k=32, seed=seed)
-        _write_json(result, path)
     elif what == "mismatch":
         sub = Split(eval_split.x[:16], eval_split.y[:16], eval_split.ids[:16])
         result = directional_mismatch(bank, model, sub, eot_k=128, seed=seed)
-        _write_json(result.to_dict(), path)
     elif what == "transfer":
         spec = AttackSpec(kind="pgd", norm="linf", epsilon=8 / 255, steps=10,
                           seed=seed)
@@ -382,7 +380,6 @@ def run_diagnostic(what, bank, model, eval_split, out, seed=0):
     elif what == "probes":
         result = probe_variance_study(bank, eval_split.x[:4], trials=60,
                                       seed=seed)
-        _write_json(result, path)
     else:
         fn = make_eot_ce_loss(bank, model, eval_split.y[0],
                               sample_id=int(eval_split.ids[0]),
@@ -390,6 +387,8 @@ def run_diagnostic(what, bank, model, eval_split, out, seed=0):
         result = loss_landscape(fn, eval_split.x[0], tau=3 / 255, grid_n=41,
                                 dir_seed=seed, eot_k=128)
         result.save_csv(path)
+    if path.suffix == ".json":
+        _write_json(result, path)
     return result
 
 
@@ -410,7 +409,7 @@ def run_experiment(config):
             "package_version": __version__,
             "status": status,
             "stages_completed": list(done),
-            "config": config.to_dict(),
+            "config": config,
         }
 
     def minor_faults():
@@ -469,7 +468,7 @@ def run_experiment(config):
         metrics.consensus_mean_offdiag = results["consensus"].mean_off_diagonal()
     metrics.timings = timings
     metrics.page_faults = page_faults
-    _write_json(metrics.to_dict(), out / "metrics.json")
+    _write_json(metrics, out / "metrics.json")
     artifacts = {what: DIAGNOSTIC_FILES[what] for what in RUN_DIAGNOSTICS}
     _write_json(dict(manifest_dict("complete"), artifacts=artifacts),
                 out / "manifest.json")

@@ -9,11 +9,12 @@ clean-accuracy preservation, and the engineering envelope.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import linear_logit_model, micro_bank, projection_filter
+from drift_helpers import linear_logit_model, micro_bank, projection_filter
 from drift.attacks import (
     AttackSpec, GradientOracle, adaptive_attack, base_oracle, check_budget,
     mim, pgd, square_attack, ensemble_margin_score,
@@ -28,12 +29,11 @@ from drift.harness import (
     config_from_dict, default_config, evaluate_robust_accuracy,
     measure_overhead, rerun_from_manifest, run_experiment, stochastic_predict,
 )
-from drift.losses import LossWeights
-from drift.models import FilterBank, build_filter_bank
+from drift.models import FilterArch, FilterBank, build_filter_bank
 from drift.tape import (
     Tape, conv2d, cross_entropy_rows, dense, grad, relu, reshape, sum_all,
 )
-from drift.training import TrainConfig, train_drift
+from drift.training import train_drift
 
 SEED = 0
 
@@ -65,17 +65,10 @@ def desk(tmp_path_factory):
 def ce_adv_baseline(desk):
     """Ablation arm: same recipe, separation losses off."""
     config = desk["config"]
-    weights = LossWeights(alpha=config.train.weights.alpha, beta_js=0.0,
-                          beta_lvjp=0.0,
-                          lambda_adv=config.train.weights.lambda_adv)
-    cfg = TrainConfig(
-        epochs=config.train.epochs, batch_size=config.train.batch_size,
-        lr=config.train.lr, weight_decay=config.train.weight_decay,
-        weights=weights, w_js=config.train.w_js, w_lvjp=config.train.w_lvjp,
-        w_adv=config.train.w_adv, pgd_epsilon=config.train.pgd_epsilon,
-        pgd_steps=config.train.pgd_steps, probes=config.train.probes,
-        seed=config.train.seed)
-    bank = build_filter_bank("res_block", config.bank.k, seed=SEED)
+    cfg = replace(config.train, weights=replace(config.train.weights,
+                                                beta_js=0.0, beta_lvjp=0.0))
+    bank = build_filter_bank(FilterArch(hidden=config.bank.hidden),
+                             config.bank.k, seed=SEED)
     t0 = time.perf_counter()
     bank, _ = train_drift(desk["model"], bank, (desk["train"].x,
                                                 desk["train"].y), cfg)

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import micro_bank
+from drift_helpers import micro_bank
 from drift import DomainError, ShapeError
 from drift import attacks as attacks_module
 from drift.attacks import (

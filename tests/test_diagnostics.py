@@ -23,7 +23,7 @@ from drift.models import (
 )
 from drift.tape import Tape, cross_entropy_rows, dot_rows, grad, sum_all
 
-from conftest import (
+from drift_helpers import (
     cos_sq, delta_kernel, linear_logit_model, micro_bank, projection_filter,
 )
 
@@ -109,7 +109,7 @@ def test_consensus_json_round_trip(tmp_path, small_base):
     x, y = small_inputs()
     rep = consensus(bank, small_base, (x, y), mode="probed", probes=2, seed=5)
     path = tmp_path / "consensus.json"
-    _write_json(rep.to_dict(), path)
+    _write_json(rep, path)
     loaded = json.loads(path.read_text())
     np.testing.assert_array_equal(np.asarray(loaded["gamma"]), rep.gamma)
     assert loaded["mode"] == "probed" and loaded["probes"] == 2
@@ -272,6 +272,17 @@ def test_mismatch_deterministic(small_base):
     a = directional_mismatch(bank, small_base, (x, y), n_dirs=3, eot_k=4)
     b = directional_mismatch(bank, small_base, (x, y), n_dirs=3, eot_k=4)
     assert a.per_eta == b.per_eta and a.grad_norms == b.grad_norms
+
+
+def test_mismatch_json_keys_each_eta_by_its_repr(tmp_path, small_base):
+    stats = directional_mismatch(micro_bank(2, seed=6), small_base,
+                                 small_inputs(n=1), n_dirs=2, eot_k=2)
+    path = tmp_path / "mismatch.json"
+    _write_json(stats, path)
+    loaded = json.loads(path.read_text())
+    assert list(loaded["per_eta"]) == ["0.0001", "0.001", "0.01"]
+    assert loaded["per_eta"]["0.01"] == stats.per_eta[1e-2]
+    assert loaded["etas"] == [0.01, 0.001, 0.0001]
 
 
 def test_mismatch_evaluates_only_the_difference_points(monkeypatch, small_base):

@@ -55,9 +55,9 @@ def tiny_setup():
 def test_config_json_round_trip(tmp_path):
     config = config_from_dict(dict(MICRO, out_dir="somewhere"))
     path = tmp_path / "config.json"
-    _write_json(config.to_dict(), path)
+    _write_json(config, path)
     again = load_config(path)
-    assert again.to_dict() == config.to_dict()
+    assert again == config
     assert again.model.channels == (4, 8)
     assert isinstance(again.attacks[0], AttackSpec)
 
@@ -88,7 +88,7 @@ def test_seed_fills_a_partly_given_nested_section(monkeypatch):
 
 
 def test_empty_config_is_the_desk_config():
-    assert config_from_dict({}).to_dict() == default_config().to_dict()
+    assert config_from_dict({}) == default_config()
     assert config_from_dict({"attacks": []}).attacks == []
 
 
@@ -308,6 +308,40 @@ def test_metrics_json_matches_record(micro_run):
     _, metrics, out = micro_run
     on_disk = json.loads((out / "metrics.json").read_text())
     assert on_disk == metrics.to_dict()
+
+
+def _seeds(node):
+    """Every value under a `seed` or `*_seed` key of a JSON record."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "seed" or key.endswith("_seed"):
+                yield value
+            else:
+                yield from _seeds(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _seeds(value)
+
+
+def test_numpy_integer_seed_writes_complete_records(tmp_path):
+    # the config loader takes NumPy-integer seeds, so the run records must
+    # encode them, as plain integers
+    out = tmp_path / "run"
+    metrics = run_experiment(config_from_dict(
+        dict(MICRO, seed=np.int64(2), out_dir=str(out))))
+    for name in ("metrics.json", "manifest.json"):
+        seeds = list(_seeds(json.loads((out / name).read_text())))
+        assert 2 in seeds and all(type(s) is int for s in seeds), name
+    again = rerun_from_manifest(out / "manifest.json", tmp_path / "rerun")
+    assert again.to_dict(include_timings=False) == \
+        metrics.to_dict(include_timings=False)
+
+
+def test_write_json_that_cannot_encode_leaves_no_file(tmp_path):
+    path = tmp_path / "record.json"
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        _write_json({"a": 1, "b": object()}, path)
+    assert not path.exists()
 
 
 def test_manifest_with_a_crn_key_is_rejected(micro_run, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
+from drift_helpers import (
     affine_res_filter, cos_sq, identity_filter, linear_base_model, micro_bank,
     negation_filter, projection_filter,
 )

@@ -33,9 +33,7 @@ ALLOWLIST = {
         "the inference-overhead gate of acceptance criterion 9",
 }
 
-SHARED_METHODS = {
-    "to_dict": "the JSON form of each record a run writes",
-}
+SHARED_METHODS = {}
 
 UNPASSED_DEFAULTS = {
     "attacks.eot_oracle(sample_ids)":

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import micro_bank
+from drift_helpers import micro_bank
 from drift import ShapeError, TapeError
 from drift import tape as tape_module
 from drift.attacks import _pipeline_loss_grad
