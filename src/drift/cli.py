@@ -75,22 +75,25 @@ def cmd_diagnose(args):
     out_dir = Path(args.checkpoint).parent
     result = run_diagnostic(args.what, bank, model, eval_split, out_dir,
                             seed=bank.seed)
-    if args.what == "consensus":
+    # a one-filter bank defines no off-diagonal figure
+    if args.what == "consensus" and bank.k >= 2:
         print(f"mean off-diagonal consensus: {result.mean_off_diagonal():.6f}")
     elif args.what == "mismatch":
         for eta, row in sorted(result.per_eta.items()):
             print(f"eta={eta:g}: median mismatch {row['median']:.6f}")
     elif args.what == "transfer":
-        off = result[~np.eye(bank.k, dtype=bool)].mean()
-        diag = np.diag(result).mean()
-        print(f"accuracy under transfer: diag {diag:.2f}%, off-diag {off:.2f}%")
+        line = f"accuracy under transfer: diag {np.diag(result).mean():.2f}%"
+        if bank.k >= 2:
+            off = result[~np.eye(bank.k, dtype=bool)].mean()
+            line += f", off-diag {off:.2f}%"
+        print(line)
     elif args.what == "probes":
         for row in result:
             print(f"P={row['P']}: variance {row['variance']:.3e}")
     elif args.what == "landscape":
         v = result.grid
         print(f"loss range over the plane: [{v.min():.6f}, {v.max():.6f}]")
-    else:
+    elif args.what == "gradnorm":
         print(f"median EoT gradient norm: {result['median']:.6f}")
     print(f"wrote {out_dir / DIAGNOSTIC_FILES[args.what]}")
     return 0

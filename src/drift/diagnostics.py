@@ -220,15 +220,6 @@ class LandscapeGrid:
     dir_seed: int
     eot_k: int
 
-    def save_csv(self, path):
-        # repr of builtin floats round-trips exactly
-        with open(path, "w") as fh:
-            fh.write("tau,grid_n,dir_seed,eot_k\n")
-            fh.write(f"{float(self.tau)!r},{self.grid_n},"
-                     f"{self.dir_seed},{self.eot_k}\n")
-            for row in self.grid:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
 
 def make_eot_ce_loss(bank, model, y, sample_id, eot_k, seed=0):
     """Single-input scalar loss with its CRN EoT draws baked in: the

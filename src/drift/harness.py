@@ -7,6 +7,8 @@ given the resolved config, so rerunning is idempotent (each stage's seconds
 and minor page faults aside).
 """
 
+import csv
+import io
 import json
 import os
 import resource
@@ -32,7 +34,7 @@ from .models import (
     FilterArch, build_base_model, build_filter_bank, filter_forward_np,
     filter_param_count, pretrain_and_freeze, routed_forward,
 )
-from .training import TrainConfig, train_drift, write_training_log
+from .training import LOG_FIELDS, TrainConfig, train_drift
 
 INFERENCE_TAG = 83
 
@@ -262,26 +264,15 @@ def evaluate_robust_accuracy(bank, model, eval_set, attack_specs,
         x_adv, queries = _craft(bank, model, x, y, spec, ids)
         preds_adv, logits_adv = stochastic_predict(bank, model, x_adv, ids,
                                                    inference_seed)
-        margins = _margins(logits_adv, y)
         correct = preds_adv == y
         robust[attack_label(spec)] = 100.0 * float(np.mean(correct))
-        for r in range(len(y)):
-            rows.append({
-                "sample_id": int(ids[r]),
-                "kind": spec.kind,
-                "epsilon": repr(float(spec.epsilon)),
-                "steps": spec.steps,
-                "eot_samples": spec.eot_samples,
-                "success": int(not correct[r]),
-                "queries": int(queries[r]),
-                "final_margin": repr(float(margins[r])),
-            })
+        budget = (spec.kind, float(spec.epsilon), spec.steps, spec.eot_samples)
+        rows += [(i, *budget, s, q, m) for i, s, q, m in zip(
+            ids.tolist(), (~correct).astype(int).tolist(), queries.tolist(),
+            _margins(logits_adv, y).tolist())]
 
     if csv_path is not None:
-        with open(csv_path, "w") as fh:
-            fh.write(",".join(ATTACK_CSV_FIELDS) + "\n")
-            for row in rows:
-                fh.write(",".join(str(row[k]) for k in ATTACK_CSV_FIELDS) + "\n")
+        _write_csv([ATTACK_CSV_FIELDS, *rows], csv_path)
 
     return MetricsRecord(experiment_id=experiment_id,
                          seed=inference_seed,
@@ -352,6 +343,15 @@ def _write_json(obj, path):
     Path(path).write_text(text)
 
 
+def _write_csv(rows, path):
+    """The one CSV writer of run records; floats go as repr, so they read
+    back exactly. The text is built whole before the file opens, so a row
+    it cannot encode leaves no file."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    Path(path).write_text(text.getvalue())
+
+
 # diagnostic -> the file it writes; `drift diagnose --what` runs any of them
 DIAGNOSTIC_FILES = {"consensus": "consensus_exact.json", "gradnorm": "gradnorm.json",
                     "mismatch": "mismatch.json", "transfer": "transfer.csv",
@@ -376,7 +376,7 @@ def run_diagnostic(what, bank, model, eval_split, out, seed=0):
         spec = AttackSpec(kind="pgd", norm="linf", epsilon=8 / 255, steps=10,
                           seed=seed)
         result = transfer_matrix(bank, model, eval_split, spec)
-        np.savetxt(path, result, delimiter=",", fmt="%.6f")
+        _write_csv(result.tolist(), path)
     elif what == "probes":
         result = probe_variance_study(bank, eval_split.x[:4], trials=60,
                                       seed=seed)
@@ -386,7 +386,9 @@ def run_diagnostic(what, bank, model, eval_split, out, seed=0):
                               eot_k=128, seed=seed)
         result = loss_landscape(fn, eval_split.x[0], tau=3 / 255, grid_n=41,
                                 dir_seed=seed, eot_k=128)
-        result.save_csv(path)
+        _write_csv([("tau", "grid_n", "dir_seed", "eot_k"),
+                    (result.tau, result.grid_n, result.dir_seed, result.eot_k),
+                    *result.grid.tolist()], path)
     if path.suffix == ".json":
         _write_json(result, path)
     return result
@@ -447,7 +449,8 @@ def run_experiment(config):
                                  channels=train_split.x.shape[1])
         bank, log = train_drift(model, bank, (train_split.x, train_split.y),
                                 config.train)
-        write_training_log(log, out / "training_log.csv")
+        _write_csv([LOG_FIELDS, *([row[k] for k in LOG_FIELDS] for row in log)],
+                   out / "training_log.csv")
         save_checkpoint(out / "checkpoint.dtns", bank, model,
                         data_seed=config.dataset.seed,
                         n_per_class=config.dataset.n_per_class)

@@ -245,14 +245,6 @@ def train_drift(model, bank, dataset, config):
     return bank, log
 
 
-def write_training_log(log, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in log:
-            writer.writerow({k: row[k] for k in LOG_FIELDS})
-
-
 def read_training_log(path):
     """Rows as train_drift returns them: the first and last fields are counts."""
     with open(path, newline="") as fh:

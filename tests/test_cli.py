@@ -107,6 +107,27 @@ def test_diagnose_consensus(trained_run, capsys):
     assert report["mode"] == "exact"
 
 
+def test_diagnose_on_a_one_filter_checkpoint(tmp_path, capsys):
+    # K = 1 is a valid bank: consensus and transfer write their file and
+    # print only what a single filter defines, no off-diagonal figure
+    from drift.dtns import save_checkpoint
+    from drift.models import build_base_model, build_filter_bank
+    model = build_base_model((3, 8, 8), 3, seed=0, channels=(4, 8)).freeze()
+    bank = build_filter_bank("res_block", 1, seed=0)
+    path = tmp_path / "checkpoint.dtns"
+    save_checkpoint(path, bank, model, data_seed=5, n_per_class=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for what, name in (("consensus", "consensus_exact.json"),
+                           ("transfer", "transfer.csv")):
+            assert main(["diagnose", "--checkpoint", str(path),
+                         "--what", what]) == 0
+            assert (tmp_path / name).exists()
+    out = capsys.readouterr().out
+    assert "accuracy under transfer: diag" in out
+    assert "off-diag" not in out and "nan" not in out
+
+
 def test_diagnose_gradnorm(trained_run):
     ckpt = str(trained_run / "checkpoint.dtns")
     assert main(["diagnose", "--checkpoint", ckpt, "--what", "gradnorm"]) == 0

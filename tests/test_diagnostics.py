@@ -7,15 +7,17 @@ import pytest
 
 import drift.attacks as attacks_module
 import drift.diagnostics as diagnostics_module
+import drift.harness as harness_module
 import drift.tape as tape_module
 from drift.attacks import AttackSpec, _pipeline_loss_grad
+from drift.data import Split
 from drift.diagnostics import (
     ConsensusReport, consensus, directional_mismatch, eot_loss_rows,
     gradient_norm_stats, loss_landscape, make_eot_ce_loss,
     orthonormal_directions, probe_variance_study, transfer_matrix,
 )
 from drift.errors import DomainError
-from drift.harness import _write_json
+from drift.harness import _write_json, run_diagnostic
 from drift.losses import NORM_GUARD, draw_logit_probes
 from drift.models import (
     Filter, FilterArch, FilterBank, base_apply, bind_params,
@@ -384,12 +386,17 @@ def test_landscape_loss_equals_eot_loss_rows_at_every_cell(small_base):
             assert grid[a, b] == want
 
 
-def test_landscape_csv_round_trip(tmp_path):
+def test_landscape_csv_round_trip(tmp_path, monkeypatch):
+    # landscape.csv as run_diagnostic writes it, for a grid small enough
+    # to compute here
     fn = lambda x: float(x.sum())
     x = RNG.uniform(0, 1, size=(2, 3, 3))
     grid = loss_landscape(fn, x, tau=0.05, grid_n=5, dir_seed=3, eot_k=12)
+    monkeypatch.setattr(harness_module, "make_eot_ce_loss", lambda *a, **k: fn)
+    monkeypatch.setattr(harness_module, "loss_landscape", lambda *a, **k: grid)
+    run_diagnostic("landscape", None, None,
+                   Split(x[None], np.zeros(1, int), np.zeros(1, int)), tmp_path)
     path = tmp_path / "landscape.csv"
-    grid.save_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "tau,grid_n,dir_seed,eot_k"
     tau, grid_n, dir_seed, eot_k = lines[1].split(",")

@@ -1,16 +1,18 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from drift import harness
 from drift.attacks import AttackSpec
 from drift.data import generate_synthetic_dataset
 from drift.errors import DomainError, StageError
 from drift.harness import (
     ATTACK_CSV_FIELDS, DIAGNOSTIC_FILES, INFERENCE_TAG,
-    MetricsRecord, _write_json, attack_label, config_from_dict, default_config,
-    evaluate_robust_accuracy, load_config, measure_overhead,
-    rerun_from_manifest, run_experiment, stochastic_predict,
+    MetricsRecord, _write_csv, _write_json, attack_label, config_from_dict,
+    default_config, evaluate_robust_accuracy, load_config, measure_overhead,
+    rerun_from_manifest, run_diagnostic, run_experiment, stochastic_predict,
 )
 from drift.models import (
     build_base_model, build_filter_bank, filter_forward_np,
@@ -342,6 +344,23 @@ def test_write_json_that_cannot_encode_leaves_no_file(tmp_path):
     with pytest.raises(TypeError, match="object is not JSON serializable"):
         _write_json({"a": 1, "b": object()}, path)
     assert not path.exists()
+
+
+def test_write_csv_that_cannot_encode_leaves_no_file(tmp_path):
+    path = tmp_path / "record.csv"
+    with pytest.raises(csv.Error, match="iterable expected"):
+        _write_csv([("a", 1.5), 2], path)
+    assert not path.exists()
+
+
+def test_transfer_csv_reads_back_exactly(tiny_setup, tmp_path, monkeypatch):
+    # 100/3 needs more than 6 decimals; the table must keep every digit
+    matrix = np.array([[100 / 3, 200 / 3], [0.0, 100.0]])
+    monkeypatch.setattr(harness, "transfer_matrix", lambda *a: matrix)
+    bank, model, ev = tiny_setup
+    run_diagnostic("transfer", bank, model, ev, tmp_path)
+    back = np.loadtxt(tmp_path / "transfer.csv", delimiter=",")
+    np.testing.assert_array_equal(back, matrix)
 
 
 def test_manifest_with_a_crn_key_is_rejected(micro_run, tmp_path):

@@ -11,12 +11,12 @@ from drift.losses import LossWeights, ProbeConfig
 from drift.models import (
     build_base_model, build_filter_bank, pretrain_and_freeze,
 )
-from drift import training
+from drift import harness, training
+from drift.harness import config_from_dict, run_experiment
 from drift.rng import rng_from
 from drift.training import (
     EPOCH_TAG, OptimizerState, TrainConfig, clip_gradients, global_grad_norm,
     optimizer_step, read_training_log, sanitize_gradients, train_drift,
-    write_training_log,
 )
 
 RNG = np.random.default_rng(20)
@@ -307,10 +307,22 @@ def test_config_validation():
     assert cfg.pgd_step_size == 0.005
 
 
-def test_log_csv_round_trip(tmp_path, micro_setup):
-    model, data = micro_setup
-    bank = build_filter_bank("res_block", 2, seed=1)
-    _, log = train_drift(model, bank, data, micro_config(epochs=2, w_adv=1))
-    path = tmp_path / "log.csv"
-    write_training_log(log, path)
-    assert read_training_log(path) == log
+def test_log_csv_round_trip(tmp_path, monkeypatch):
+    # training_log.csv, as run_experiment writes it, reads back as the rows
+    # train_drift returned
+    logs = []
+
+    def spy(*args):
+        bank, log = train_drift(*args)
+        logs.append(log)
+        return bank, log
+    monkeypatch.setattr(harness, "train_drift", spy)
+    run_experiment(config_from_dict({
+        "seed": 7, "out_dir": str(tmp_path), "attacks": [],
+        "dataset": {"classes": 3, "side": 8, "n_per_class": 10},
+        "model": {"channels": [4, 8], "pretrain_epochs": 2},
+        "bank": {"k": 2, "hidden": 4},
+        "train": {"epochs": 2, "batch_size": 30, "w_js": 0, "w_lvjp": 0,
+                  "w_adv": 1, "pgd_steps": 2,
+                  "probes": {"p_v": 1, "p_w": 1}}}))
+    assert read_training_log(tmp_path / "training_log.csv") == logs[0]
