@@ -16,7 +16,8 @@ derivative: its ReLU masks enter the backward as constant leaves. So
 lvjp_component computes them off the caller's tape, on a short-lived tape per
 base input, and enters them there as constants; only the filters and their
 backward passes are recorded on the caller's tape. At batch 50 with K=4 that
-tape holds 140 MB after its gradient, against 385 MB with the base on it.
+tape holds 129 MB after its gradient; recording the base on it too once took
+it from 140 to 385 MB.
 """
 
 from dataclasses import dataclass
@@ -68,18 +69,22 @@ DENOM_EPS = 1e-12
 def cos_sq_rows(a, b):
     """Taped per-sample squared cosine: [N, ...] x [N, ...] -> [N].
 
-    The tiny sqrt offset keeps the backward pass finite at zero vectors;
-    rows whose norm is below NORM_GUARD are forced to exactly 0 through a
+    The tiny sqrt offset keeps the backward pass finite at zero vectors: 1e-300,
+    or in float32, where that underflows to 0, its smallest normal number.
+    Rows whose norm is below NORM_GUARD are forced to exactly 0 through a
     constant mask (no gradient flows through degenerate rows).
     """
+    def norm(v):
+        tiny = max(1e-300, float(np.finfo(v.value.dtype).tiny))
+        return sqrt(add_const(dot_rows(v, v), tiny))
+
     d = dot_rows(a, b)
-    na = sqrt(add_const(dot_rows(a, a), 1e-300))
-    nb = sqrt(add_const(dot_rows(b, b), 1e-300))
+    na, nb = norm(a), norm(b)
     r = div(d, add_const(mul(na, nb), DENOM_EPS))
     c = mul(r, r)
     ok = (na.value >= NORM_GUARD) & (nb.value >= NORM_GUARD)
     if not ok.all():
-        c = mul(c, a.tape.leaf(ok.astype(np.float64)))
+        c = mul(c, a.tape._mask(ok))
     return c
 
 

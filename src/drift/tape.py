@@ -14,9 +14,10 @@ Every broadcast (dense biases, row-wise backward terms) is one primitive,
 `bcast`, and every reduction is its adjoint, `sum`; each is the other's
 backward rule. A conv's bias is a parent of its conv node instead.
 The only non-differentiable pieces are the ReLU/maximum selection masks,
-which enter as constant leaves (their derivative is zero almost everywhere,
-matching the subgradient-at-zero convention), and cross-entropy's one-hot
-labels, also a constant leaf.
+which enter as boolean constant leaves of one byte per element (their
+derivative is zero almost everywhere, matching the subgradient-at-zero
+convention; `mul` by a mask is bitwise `mul` by its 0/1 floats), and
+cross-entropy's one-hot labels, a float constant leaf.
 """
 
 import numpy as np
@@ -68,6 +69,12 @@ class Tape:
         if arr.ndim > 0 and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         return self._append("leaf", (), arr, None)
+
+    def _mask(self, mask):
+        """Record a fresh boolean array as a constant leaf, one byte per
+        element; `mul` by it gives the bytes `mul` by its 0/1 floats gives,
+        the sign of a zero included."""
+        return self._append("leaf", (), np.asarray(mask), None)
 
     def _append(self, op, parents, value, ctx):
         self.nodes.append(Node(op, parents, value, ctx))
@@ -175,6 +182,12 @@ def _taps_conv(x, kt, kh, kw, pad, dt):
     return y[:, :, :hp - kh + 1, :wp - kw + 1].transpose(1, 0, 2, 3)
 
 
+def _takes_taps(c, o):
+    """Whether a conv from c to o channels, and its kernel gradient, run on
+    the tap layout: few output channels (see below)."""
+    return o < c and o <= 4
+
+
 # A forward conv runs one of two GEMM layouts. The im2col layout multiplies
 # the [N*Ho*Wo, kh*kw*C] window matrix by the [kh*kw*C, O] kernel. With few
 # output channels that GEMM reads a 9x-inflated matrix to write O columns,
@@ -197,6 +210,17 @@ def _taps_conv(x, kt, kh, kw, pad, dt):
 # differed in the last bit), so above this floor each chunk runs the kernel
 # the unchunked call runs and the output is bitwise independent of the
 # chunking.
+#
+# A kernel gradient reduces over all N*Ho*Wo output positions and runs
+# unchunked, as one GEMM, on the layout its conv's forward takes
+# (_takes_taps). The im2col layout multiplies the transposed window matrix
+# by the [N*Ho*Wo, O] cotangent; for 16->3 at batch 50 that copies a 14.7 MB
+# matrix to write 3 columns, and took 3.0 ms (3.7 GFLOP/s). The tap layout
+# (_taps_kgrad) writes the cotangent kh*kw times, shifted by tap, into a
+# 3.5 MB buffer and multiplies it by the zero-padded input: 1.15 ms (9.6
+# GFLOP/s), and about even at batch 1. It ran 2.8-3.8x slower at 3->16 and
+# 1.7-2.0x at 16->32, and about even at 32->16 (0.9-1.05x), which the rule
+# keeps on im2col (1 BLAS thread, 16x16 images, batch 1 and 50).
 _COL_BYTES = 1 << 20
 _CHUNK_MACS = 1 << 20
 
@@ -213,7 +237,7 @@ def _k_conv2d(vals, ctx):
     ho, wo = h + 2 * ctx - kh + 1, w + 2 * ctx - kw + 1
     dt = np.result_type(x, k)
     out = np.empty((n, o, ho, wo), dtype=np.result_type(dt, *bias))
-    if o < c and o <= 4:
+    if _takes_taps(c, o):
         conv, kmat, inner = _taps_conv, k.transpose(2, 3, 0, 1), c
         per_image = (h + 2 * ctx) * (w + 2 * ctx) * kh * kw * o
     else:
@@ -232,16 +256,46 @@ def _k_conv2d(vals, ctx):
     return out
 
 
+def _im2col_kgrad(x, gy, kh, kw, pad, dt):
+    """[O, C, kh, kw] view: the transposed im2col matrix of x times the
+    channel-last cotangent [N*Ho*Wo, O]."""
+    n, o, ho, wo = gy.shape
+    g2 = np.ascontiguousarray(gy.transpose(0, 2, 3, 1), dtype=dt).reshape(n * ho * wo, o)
+    dk = _im2col(x, kh, kw, pad, dt).T @ g2
+    return dk.reshape(kh, kw, -1, o).transpose(3, 2, 0, 1)
+
+
+def _taps_kgrad(x, gy, kh, kw, pad, dt):
+    """[O, C, kh, kw] view: one GEMM of a tap-stacked cotangent [kh*kw*O,
+    N*Hp*Wp], rows (i, j, o), by the transposed zero-padded input laid out
+    channel-major, [C, N*Hp*Wp]. Block (i, j) of the cotangent buffer holds
+    gy at rows i..i+Ho and columns j..j+Wo of each padded image and zeros
+    elsewhere, so its product with x sums gy against x shifted by that tap."""
+    n, c, h, w = x.shape
+    o, ho, wo = gy.shape[1:]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    xbuf = np.zeros((c, n, hp, wp), dtype=dt)
+    xbuf[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    gbuf = np.zeros((kh, kw, o, n, hp, wp), dtype=dt)
+    g = gy.transpose(1, 0, 2, 3)
+    for i in range(kh):
+        for j in range(kw):
+            gbuf[i, j, :, :, i:i + ho, j:j + wo] = g
+    dk = gbuf.reshape(kh * kw * o, n * hp * wp) @ xbuf.reshape(c, n * hp * wp).T
+    return dk.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
+
+
 def _k_conv2d_kgrad(vals, ctx):
-    """Kernel gradient, one GEMM over every row: chunking its row reduction
-    would change the summation order."""
+    """Kernel gradient, one GEMM over every output position on the layout
+    the conv's forward takes (see above): chunking its row reduction would
+    change the summation order. The two layouts sum those positions in
+    different orders: over 16,200-20,000 positions they differed by up to
+    4e-14 of the largest entry in float64, 8e-6 in float32."""
     x, gy = vals
     n, o, ho, wo = gy.shape
     kh, kw = x.shape[2] + 2 * ctx - ho + 1, x.shape[3] + 2 * ctx - wo + 1
-    dt = np.result_type(x, gy)
-    g2 = np.ascontiguousarray(gy.transpose(0, 2, 3, 1), dtype=dt).reshape(n * ho * wo, o)
-    dk = _im2col(x, kh, kw, ctx, dt).T @ g2
-    return np.ascontiguousarray(dk.reshape(kh, kw, -1, o).transpose(3, 2, 0, 1))
+    kgrad = _taps_kgrad if _takes_taps(x.shape[1], o) else _im2col_kgrad
+    return np.ascontiguousarray(kgrad(x, gy, kh, kw, ctx, np.result_type(x, gy)))
 
 
 def _k_swap_flip(vals, ctx):
@@ -503,15 +557,15 @@ def _bwd_add_const(tape, node, ni, g, need):
 
 def _bwd_relu(tape, node, ni, g, need):
     x = tape.nodes[node.parents[0]].value
-    return _pick(node, need, lambda: mul(g, tape.leaf((x > 0).astype(x.dtype))))
+    return _pick(node, need, lambda: mul(g, tape._mask(x > 0)))
 
 
 def _bwd_maximum(tape, node, ni, g, need):
     a = tape.nodes[node.parents[0]].value
     b = tape.nodes[node.parents[1]].value
-    take_a = (a >= b).astype(a.dtype)
-    return _pick(node, need, lambda: mul(g, tape.leaf(take_a)),
-                 lambda: mul(g, tape.leaf(1.0 - take_a)))
+    take_a = a >= b
+    return _pick(node, need, lambda: mul(g, tape._mask(take_a)),
+                 lambda: mul(g, tape._mask(~take_a)))
 
 
 def _bwd_sum(tape, node, ni, g, need):

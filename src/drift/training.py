@@ -7,9 +7,10 @@ warmups. Each term runs on a tape of its own (bounds peak memory), and a
 non-finite value skips the batch at once. The gradients are weighted, summed,
 sanitized, globally clipped, and applied with AdamW; the weighted total of
 the values is logged. The base model is frozen; only filter parameters move.
-At batch 50 with K=4 the tapes hold ce 160, js 125, lvjp 140 and adv 160 MB
-after their gradients; the lvjp term pulls its probes back through the base
-on short-lived tapes of 50 MB each.
+At batch 50 with K=4 the tapes hold ce 113, js 112, lvjp 129 and adv 113 MB
+after their gradients, each buffer counted once (a reshape is a view); the
+lvjp term pulls its probes back through the base on short-lived tapes of
+33 MB each.
 """
 
 import csv

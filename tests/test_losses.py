@@ -18,7 +18,7 @@ from drift.models import (
     filter_apply,
 )
 from drift.tape import (
-    Tape, add, cross_entropy_rows, grad, maximum, mean_all, scale, vjp,
+    Tape, add, cross_entropy_rows, grad, maximum, mean_all, scale, sum_all, vjp,
 )
 
 RNG = np.random.default_rng(314)
@@ -86,6 +86,25 @@ def test_cos_sq_rows_matches_scalar():
     for n in range(6):
         assert out.value[n] == pytest.approx(cos_sq(a[n], b[n]), abs=1e-10)
     assert out.value[3] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cos_sq_rows_dtype_and_values_do_not_depend_on_a_degenerate_row(dtype):
+    # a degenerate row is masked to +0.0; every other row, and the dtype, is
+    # what the rows give without it
+    a = RNG.standard_normal((3, 4)).astype(dtype)
+    b = RNG.standard_normal((3, 4)).astype(dtype)
+    t = Tape()
+    clean = cos_sq_rows(t.leaf(a), t.leaf(b)).value
+    a[1] = 0.0
+    av, bv = t.leaf(a), t.leaf(b)
+    out = cos_sq_rows(av, bv)
+    assert out.value.dtype == clean.dtype == dtype
+    kept = cos_sq_rows(t.leaf(a[[0, 2]]), t.leaf(b[[0, 2]])).value
+    assert out.value[[0, 2]].tobytes() == kept.tobytes()
+    assert out.value[1] == 0.0 and not np.signbit(out.value[1])
+    ga, gb = grad(t, sum_all(out), [av, bv])
+    assert ga.value.dtype == dtype and not ga.value[1].any() and not gb.value[1].any()
 
 
 # -- ce -----------------------------------------------------------------------

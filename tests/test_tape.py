@@ -17,7 +17,7 @@ from drift.losses import (
 )
 from drift.models import build_base_model, pretrain_and_freeze
 from drift.tape import (
-    _BACKWARD, _FORWARD, Tape, Var, _bcast, _pick, _sum, add, conv2d,
+    _BACKWARD, _FORWARD, Tape, Var, _bcast, _pick, _sum, _takes_taps, add, conv2d,
     cross_entropy_rows, dense, dot_rows, div, grad, logsumexp_rows, matmul,
     maximum, mul, relu, reshape, rows_scale, scale, sqrt, sub, sum_all, vjp,
 )
@@ -293,24 +293,27 @@ def _slab_conv2d_kgrad(vals, pad):
     return np.ascontiguousarray(dk.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
 
 
-def _takes_taps(c, o):
-    """The shapes _k_conv2d sends to its tap layout: few output channels."""
-    return o < c and o <= 4
-
-
 # The tap layout sums each tap's C products in its GEMM and then adds the taps,
 # the slab reference sums all kh*kw*C in one dot. Over kernel sizes 1-5, pads
 # 0-2 and 1-50 images they differed by at most 1.2e-15 of the largest output
 # in float64 and 6e-7 in float32; the bounds are about 80x and 16x those.
 _TAPS_RTOL = {np.dtype(np.float64): 1e-13, np.dtype(np.float32): 1e-5}
 
+# A kernel gradient sums N*Ho*Wo products per entry, and the tap layout sums
+# them in another order than the slab reference's one GEMM. Over kernel sizes
+# 1-5, pads 0-2, 1, 3 and 50 images, float64, float32 and mixed inputs, C
+# order and transposed strides, they differed by at most 3.9e-14 of the largest entry in
+# float64 and 7.7e-6 in float32, both at a 1x1 kernel over 50 padded 16x16
+# images (16,200-20,000 positions); the bounds are about 10x those.
+_KGRAD_RTOL = {np.dtype(np.float64): 4e-13, np.dtype(np.float32): 1e-4}
 
-def _assert_matches_slab(y, ref, c, o):
-    """Bitwise equal on the im2col layout, within _TAPS_RTOL of the largest
-    |ref| on the tap layout."""
+
+def _assert_matches_slab(y, ref, c, o, rtol=_TAPS_RTOL):
+    """Bitwise equal on the im2col layout, within rtol of the largest |ref| on
+    the tap layout."""
     assert y.flags.c_contiguous and (y.shape, y.dtype) == (ref.shape, ref.dtype)
     if _takes_taps(c, o):
-        assert np.abs(y - ref).max() <= _TAPS_RTOL[ref.dtype] * np.abs(ref).max()
+        assert np.abs(y - ref).max() <= rtol[ref.dtype] * np.abs(ref).max()
     else:
         assert np.array_equal(y, ref)
 
@@ -319,9 +322,9 @@ def _assert_matches_slab(y, ref, c, o):
 def test_conv_kernels_bitwise_equal_slab_reference(ksize, pad):
     # H != W throughout; the transposed view checks strides other than C order,
     # and C = 1 with pad = 0 is where the NHWC input can be a view of x itself,
-    # so the input must also come back unchanged. Forward convs with few
-    # output channels (3 -> 1, 16 -> 1, 16 -> 3) take the tap layout and are
-    # held to its bound instead.
+    # so the input must also come back unchanged. Convs with few output
+    # channels (3 -> 1, 16 -> 1, 16 -> 3) take the tap layout, forward and
+    # kernel gradient, and are held to its bounds instead.
     rng = np.random.default_rng(ksize * 10 + pad)
     for n in (1, 3):
         for c in (1, 3, 16):
@@ -335,8 +338,8 @@ def test_conv_kernels_bitwise_equal_slab_reference(ksize, pad):
                     gy = rng.standard_normal(y.shape)
                     ref = _slab_conv2d_kgrad([xin, gy], pad)
                     dk = _FORWARD["conv2d_kgrad"]([xin, gy], pad)
-                    assert dk.flags.c_contiguous and dk.shape == k.shape
-                    assert np.array_equal(dk, ref), (n, c, o)
+                    assert dk.shape == k.shape
+                    _assert_matches_slab(dk, ref, c, o, _KGRAD_RTOL)
                     assert np.array_equal(xin, x), (n, c, o)
 
 
@@ -368,21 +371,29 @@ def test_conv_forward_in_chunks_bitwise_equal_slab_reference(monkeypatch, n, c, 
     _assert_matches_slab(_FORWARD["conv2d"]([x, k], 1), _slab_conv2d([x, k], 1), c, o)
 
 
-def _record_layouts(mp, ran):
-    """Make _k_conv2d append to ran the layout each of its chunks runs."""
-    for name, layout in (("_im2col_conv", "im2col"), ("_taps_conv", "taps")):
+# each conv kernel's two layouts: (function name, layout)
+_LAYOUTS = {
+    "conv2d": (("_im2col_conv", "im2col"), ("_taps_conv", "taps")),
+    "conv2d_kgrad": (("_im2col_kgrad", "im2col"), ("_taps_kgrad", "taps")),
+}
+
+
+def _record_layouts(mp, ran, op="conv2d"):
+    """Make op's kernel append to ran the layout each of its GEMMs (a chunk,
+    for a forward conv) runs."""
+    for name, layout in _LAYOUTS[op]:
         def run(*args, _kernel=getattr(tape_module, name), _layout=layout):
             ran.append(_layout)
             return _kernel(*args)
         mp.setattr(tape_module, name, run)
 
 
-def _forward_and_layouts(vals, pad):
-    """_k_conv2d's output and the layout each of its chunks ran, in order."""
+def _forward_and_layouts(vals, pad, op="conv2d"):
+    """op's kernel output and the layout each of its GEMMs ran, in order."""
     ran = []
     with pytest.MonkeyPatch.context() as mp:
-        _record_layouts(mp, ran)
-        y = _FORWARD["conv2d"](vals, pad)
+        _record_layouts(mp, ran, op)
+        y = _FORWARD[op](vals, pad)
     return y, ran
 
 
@@ -399,6 +410,41 @@ def test_conv_layout_routing_table(c, o, layout):
     _, ran = _forward_and_layouts([x, k], 1)
     assert ran == [layout]
     assert _takes_taps(c, o) == (layout == "taps")
+
+
+@pytest.mark.parametrize("c, o, layout", [
+    (16, 3, "taps"), (3, 1, "taps"), (16, 4, "taps"), (16, 5, "im2col"),
+    (3, 3, "im2col"), (3, 16, "im2col"), (16, 32, "im2col"), (32, 16, "im2col"),
+])
+def test_kernel_gradient_layout_routing_table(c, o, layout):
+    # a kernel gradient from c to o channels runs one GEMM, on the layout
+    # the conv's forward takes: the bank's 16 -> 3 conv on taps, the base's
+    # and the bank's first convs on im2col
+    rng = np.random.default_rng(c * 100 + o)
+    x, gy = rng.standard_normal((50, c, 16, 16)), rng.standard_normal((50, o, 16, 16))
+    _, ran = _forward_and_layouts([x, gy], 1, "conv2d_kgrad")
+    assert ran == [layout]
+    assert _takes_taps(c, o) == (layout == "taps")
+
+
+@pytest.mark.parametrize("xdt, gdt", [(np.float64, np.float64), (np.float32, np.float32),
+                                      (np.float32, np.float64), (np.float64, np.float32)])
+@pytest.mark.parametrize("ksize, pad", [(k, p) for k in (1, 3, 5) for p in (0, 1, 2)])
+def test_tap_kernel_gradient_matches_slab_reference(ksize, pad, xdt, gdt):
+    # every tap-routed kernel gradient within _KGRAD_RTOL of the slab
+    # reference, for C-order and transposed-stride operands
+    rng = np.random.default_rng(ksize * 10 + pad)
+    for n, (h, w) in ((1, (7, 5)), (3, (7, 5)), (50, (16, 16))):
+        ho, wo = h + 2 * pad - ksize + 1, w + 2 * pad - ksize + 1
+        for c, o in ((16, 3), (3, 1), (16, 4)):
+            x = rng.standard_normal((n, c, h, w)).astype(xdt)
+            gy = rng.standard_normal((n, o, ho, wo)).astype(gdt)
+            x_t, gy_t = (np.ascontiguousarray(a.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+                         for a in (x, gy))
+            for vals in ([x, gy], [x_t, gy_t]):
+                dk, ran = _forward_and_layouts(vals, pad, "conv2d_kgrad")
+                assert ran == ["taps"] and dk.shape == (o, c, ksize, ksize)
+                _assert_matches_slab(dk, _slab_conv2d_kgrad(vals, pad), c, o, _KGRAD_RTOL)
 
 
 @pytest.mark.parametrize("c, o", [(3, 16), (16, 3)])
@@ -958,6 +1004,68 @@ def test_cross_entropy_is_byte_equal_to_the_ops_it_replaced(monkeypatch, dtype):
         assert a.tobytes() == b.tobytes()
     one_hot_rule = [n.value for n in t_new.nodes if n.op == "rows_scale"][0]
     assert np.signbit(one_hot_rule[one_hot_rule == 0]).any()
+
+
+# relu's and maximum's rules as they were, with float 0/1 masks
+def _old_bwd_relu(tape, node, ni, g, need):
+    x = tape.nodes[node.parents[0]].value
+    return _pick(node, need, lambda: mul(g, tape.leaf((x > 0).astype(x.dtype))))
+
+
+def _old_bwd_maximum(tape, node, ni, g, need):
+    a = tape.nodes[node.parents[0]].value
+    b = tape.nodes[node.parents[1]].value
+    take_a = (a >= b).astype(a.dtype)
+    return _pick(node, need, lambda: mul(g, tape.leaf(take_a)),
+                 lambda: mul(g, tape.leaf(1.0 - take_a)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_boolean_masks_are_byte_equal_to_the_float_masks_they_replaced(monkeypatch,
+                                                                       dtype):
+    # relu at exact zeros of its input, and maximum at exact ties (y against
+    # relu(y) wherever y > 0), under the res_block's second order: the tapes
+    # match node by node, a bool mask where a float 0/1 mask was
+    x, params, u = _res_block_inputs(dtype)
+    x = x - np.asarray(0.5, dtype)
+    x[:, :, ::3] = 0.0
+
+    def run():
+        t = Tape()
+        xv = t.leaf(x)
+        ps = [t.leaf(p) for p in params]
+        w1, b1, w2, b2 = ps
+        y = conv2d(relu(conv2d(xv, w1, b1, 1)), w2, b2, 1)
+        out = add(maximum(y, relu(y)), relu(xv))
+        firsts = vjp(t, out, u, [xv] + ps)
+        loss = reduce(add, [sum_all(mul(v, v)) for v in [out] + firsts])
+        return t, [v.value for v in [out, loss] + firsts + grad(t, loss, [xv] + ps)]
+
+    t_new, new = run()
+    monkeypatch.setitem(_BACKWARD, "relu", _old_bwd_relu)
+    monkeypatch.setitem(_BACKWARD, "maximum", _old_bwd_maximum)
+    t_old, old = run()
+    for a, b in zip(new, old):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+    assert len(t_new) == len(t_old)
+    masks = 0
+    for n_new, n_old in zip(t_new.nodes, t_old.nodes):
+        assert (n_new.op, n_new.parents) == (n_old.op, n_old.parents)
+        if n_new.value.dtype == bool:
+            masks += 1
+            assert n_new.op == "leaf" and n_new.value.nbytes == n_new.value.size
+            assert n_old.value.dtype == dtype
+            assert n_new.value.astype(dtype).tobytes() == n_old.value.tobytes()
+        else:
+            assert n_new.value.tobytes() == n_old.value.tobytes()
+    # one mask per relu and two per maximum, in the first order and again
+    # when the second order passes back through the forward
+    assert masks == 2 * (3 + 2)
+    # a negative cotangent times a False mask is -0.0 in both graphs
+    masked = [n.value for n in t_new.nodes
+              if n.op == "mul" and t_new.nodes[n.parents[1]].value.dtype == bool]
+    assert any(np.signbit(v[v == 0]).any() for v in masked)
 
 
 def _compute_then_drop(monkeypatch):

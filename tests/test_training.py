@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from drift_helpers import micro_bank
 from drift.data import generate_synthetic_dataset
 from drift.errors import DivergenceError, DomainError
 from drift.losses import LossWeights, ProbeConfig
@@ -326,3 +327,46 @@ def test_log_csv_round_trip(tmp_path, monkeypatch):
                   "w_adv": 1, "pgd_steps": 2,
                   "probes": {"p_v": 1, "p_w": 1}}}))
     assert read_training_log(tmp_path / "training_log.csv") == logs[0]
+
+
+def _owned_mb(tape):
+    """MB held by a tape's node values, each buffer once: a view (a reshape)
+    counts as the array it views."""
+    roots = {}
+    for node in tape.nodes:
+        a = node.value
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a.nbytes
+    return sum(roots.values()) / 2 ** 20
+
+
+def test_each_term_tape_holds_the_size_the_docstring_states(monkeypatch):
+    # one desk-shaped batch (50 rows of 3x16x16, K=4 filters of width 16 off
+    # the identity, a random frozen base with channels (16, 32) and 10
+    # classes) with every term on: each term's tape after its gradient is
+    # within 1 MB of the size training's docstring states
+    sizes = []
+
+    def measured(build, bank, *args):
+        tapes = []
+
+        def spy(tape, *rest):
+            tapes.append(tape)
+            return build(tape, *rest)
+        out = term_grads(spy, bank, *args)
+        sizes.append(_owned_mb(tapes[0]))
+        return out
+    term_grads = training._term_grads
+    monkeypatch.setattr(training, "_term_grads", measured)
+    r = np.random.default_rng(0)
+    x, y = r.uniform(0, 1, (50, 3, 16, 16)), np.arange(50) % 10
+    model = build_base_model((3, 16, 16), 10, seed=1, channels=(16, 32)).freeze()
+    train_drift(model, micro_bank(4, seed=2, hidden=16), (x, y),
+                TrainConfig(epochs=1, w_js=0, w_lvjp=0, w_adv=0, seed=3))
+    stated = {"ce": 113, "js": 112, "lvjp": 129, "adv": 113}
+    assert ("the tapes hold ce {ce}, js {js}, lvjp {lvjp} and adv {adv} MB"
+            .format(**stated)) in " ".join(training.__doc__.split())
+    assert len(sizes) == len(stated)
+    for (name, mb), got in zip(stated.items(), sizes):
+        assert abs(got - mb) <= 1, (name, got)
